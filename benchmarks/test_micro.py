@@ -2,13 +2,16 @@
 
 These use pytest-benchmark's statistical timing (many rounds) on the
 hot primitives: steady-state solving of a bit-line vicinity, vicinity
-exploration, one good-circuit RAM pattern, and state-list operations.
+exploration, one good-circuit RAM pattern, one concurrent faulty-circuit
+round, and state-list operations.
 They are regression canaries for the kernel rather than paper figures.
 """
 
 from __future__ import annotations
 
 from repro.circuits.ram import build_ram
+from repro.core.concurrent import ConcurrentFaultSimulator, _FaultyCircuit
+from repro.core.faults import NodeStuckFault
 from repro.core.statelist import StateList
 from repro.patterns.clocking import READ, RamOp, expand_op
 from repro.switchlevel.simulator import Simulator
@@ -67,6 +70,37 @@ def test_good_circuit_pattern(benchmark):
             sim.apply(phase.settings)
 
     benchmark(one_pattern)
+
+
+def test_faulty_circuit_round(benchmark):
+    ram = build_ram(4, 4)
+    from repro.patterns.clocking import WRITE
+
+    simulator = ConcurrentFaultSimulator(
+        ram.net,
+        [NodeStuckFault("c0_0.s", 0)],
+        [ram.dout],
+        drop_on_detect=False,
+    )
+    # Write 1 and read it back: the stuck cell diverges from the cell
+    # node through the bit lines to dout.
+    for op in (RamOp(WRITE, 0, 0, value=1), RamOp(READ, 0, 0)):
+        simulator.apply_pattern(expand_op(ram, op))
+    records = simulator.circuit_records[1]
+    assert len(records) > 5
+    circuit = _FaultyCircuit(simulator, 1)
+    seeds = set(records)
+
+    def one_round():
+        # Re-perturb every divergent node: patch the shared views,
+        # filter the seeds, explore, solve, apply, restore.
+        circuit._seeds = set(seeds)
+        simulator._faulty_round(circuit)
+
+    one_round()
+    benchmark(one_round)
+    assert simulator._view_states == simulator._prev_states
+    assert simulator._view_tstates == simulator._prev_tstates
 
 
 def test_statelist_sweep(benchmark):

@@ -40,17 +40,22 @@ concurrent speedup comes from.
 **Round alignment.**  A faulty circuit's round r must be computed from
 round r-1 states -- exactly what a standalone simulation of that
 circuit would see -- but the good circuit's round r has already been
-applied by the time the faulty circuits run.  The overlay views
-therefore resolve reads as records -> forced nodes -> a *round-start
-snapshot* of the good states (a standing list, resynced after each
-round's faulty circuits have run).  For the same reason, divergence
-records that *reconverge* (become equal to the new good state) are only
-deleted after the round's faulty circuits have run: until then the
-record is the faulty circuit's round r-1 state.  An earlier version
-instead pinned pre-change values as records during the trigger scan,
-which missed changes outside the triggering vicinity (e.g. a gate node
-solved in a sibling vicinity) and made the concurrent simulator
-disagree with the serial one.
+applied by the time the faulty circuits run.  The simulator therefore
+keeps *round-start snapshots* of the good node and transistor states
+(standing lists, resynced after each round's faulty circuits have run)
+and two shared *views* equal to them.  Before a faulty circuit's round
+the views are patched with that circuit's forced nodes, records, the
+transistor states those nodes gate and its forced transistors; after
+the round exactly those positions are restored.  Vicinity exploration
+and solving thus index plain lists, and the patch costs O(divergence),
+not O(network).  For the same reason, divergence records that
+*reconverge* (become equal to the new good state) are only deleted
+after the round's faulty circuits have run: until then the record is
+the faulty circuit's round r-1 state.  An earlier version instead
+pinned pre-change values as records during the trigger scan, which
+missed changes outside the triggering vicinity (e.g. a gate node solved
+in a sibling vicinity) and made the concurrent simulator disagree with
+the serial one.
 
 Good-circuit node changes also maintain the records: a record equal to
 the new good state is deleted (reconvergence, deferred as above), and
@@ -65,11 +70,11 @@ fault dropping, responsible for the cheap Figure-1 "tail").
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import FaultError, SimulationError
 from ..patterns.clocking import TestPattern
-from ..switchlevel.compiled import _np, compile_network
+from ..switchlevel.compiled import compile_network
 from ..switchlevel.kernel import (
     DEFAULT_MAX_ROUNDS,
     LOCALITIES,
@@ -94,214 +99,6 @@ from .report import PatternRecord, RunReport
 from .statelist import StateList
 
 ProgressCallback = Callable[[PatternRecord, list[Detection]], None]
-
-#: Reserved ``base_key_cache`` slot holding the numpy snapshot of the
-#: round-start good states (key tokens are ints, so ``None`` is free).
-_SNAP_KEY = None
-
-
-class _OverlayStates:
-    """Node-state view of one faulty circuit.
-
-    Reads resolve records -> forced nodes -> ``base``, where ``base``
-    is the simulator's *round-start* good states (see the module
-    docstring on round alignment) -- a plain list, so the common
-    tracks-the-good-circuit case costs one dict miss and one index.
-    """
-
-    __slots__ = ("base", "records", "base_key_cache")
-
-    def __init__(
-        self,
-        base: list[int],
-        records: dict[int, int],
-        base_key_cache: dict | None = None,
-    ):
-        self.base = base
-        self.records = records
-        #: Shared per-simulator memo of ``base`` key bytes per node
-        #: tuple, cleared whenever ``base`` changes (once per round):
-        #: every faulty circuit of a round reads the same round-start
-        #: snapshot, so the bulk of each solve-cache key is computed
-        #: once per component per round instead of once per circuit.
-        self.base_key_cache = (
-            base_key_cache if base_key_cache is not None else {}
-        )
-
-    def __getitem__(self, node: int) -> int:
-        state = self.records.get(node)
-        if state is None:
-            return self.base[node]
-        return state
-
-    def _base_bytes(
-        self, nodes: tuple, token: int | None, idx: Any
-    ) -> bytes:
-        """Round-start states of ``nodes``, memoized across circuits.
-
-        Every faulty circuit of a round reads the same snapshot, so the
-        bulk of each solve-cache key is computed once per component (or
-        region) per round -- keyed by the component's int ``token``,
-        which hashes in O(1) where the node tuple would not.  With
-        numpy, the snapshot is lowered to one uint8 array per round and
-        each key is a fancy-index gather + ``tobytes``.
-        """
-        cache = self.base_key_cache
-        ckey = nodes if token is None else token
-        raw = cache.get(ckey)
-        if raw is None:
-            if idx is not None:
-                snap = cache.get(_SNAP_KEY)
-                if snap is None:
-                    snap = _np.frombuffer(
-                        bytes(self.base), dtype=_np.uint8
-                    )
-                    cache[_SNAP_KEY] = snap
-                raw = snap[idx].tobytes()
-            else:
-                raw = bytes(map(self.base.__getitem__, nodes))
-            cache[ckey] = raw
-        return raw
-
-    def key_bytes(
-        self,
-        nodes: tuple,
-        positions: Mapping[int, int],
-        token: int | None = None,
-        idx: Any = None,
-    ) -> bytes:
-        """States of ``nodes`` as bytes (solve-cache key fast path).
-
-        ``positions`` maps node -> index within ``nodes``.  The bulk of
-        the read comes from the shared round-start snapshot (see
-        :meth:`_base_bytes`) and the (typically tiny) record overlay is
-        patched on top.
-        """
-        raw = self._base_bytes(nodes, token, idx)
-        records = self.records
-        if records:
-            # Iterate the smaller side directly: building an
-            # intersection set per call costs more than it saves at
-            # this call volume.
-            patched = None
-            if len(records) <= len(positions):
-                for node, state in records.items():
-                    pos = positions.get(node)
-                    if pos is not None:
-                        if patched is None:
-                            patched = bytearray(raw)
-                        patched[pos] = state
-            else:
-                for node, pos in positions.items():
-                    state = records.get(node)
-                    if state is not None:
-                        if patched is None:
-                            patched = bytearray(raw)
-                        patched[pos] = state
-            if patched is not None:
-                raw = bytes(patched)
-        return raw
-
-
-class _OverlayStatesForced(_OverlayStates):
-    """Overlay for circuits with pinned pseudo-inputs (node faults).
-
-    The forced layer matters only in the window where a forced node's
-    record has been removed (forced value caught up with the *new* good
-    state) while the round-start snapshot still holds the old one.
-    """
-
-    __slots__ = ("forced",)
-
-    def __init__(
-        self,
-        base: list[int],
-        records: dict[int, int],
-        forced: Mapping[int, int],
-        base_key_cache: dict | None = None,
-    ):
-        super().__init__(base, records, base_key_cache)
-        self.forced = forced
-
-    def __getitem__(self, node: int) -> int:
-        state = self.records.get(node)
-        if state is not None:
-            return state
-        state = self.forced.get(node)
-        if state is not None:
-            return state
-        return self.base[node]
-
-    def key_bytes(
-        self,
-        nodes: tuple,
-        positions: Mapping[int, int],
-        token: int | None = None,
-        idx: Any = None,
-    ) -> bytes:
-        raw = self._base_bytes(nodes, token, idx)
-        patched = None
-        # Later layers win: forced under records, as in __getitem__.
-        # Iterate the smaller side of each layer/positions pair; a
-        # per-call intersection set costs more than it saves here.
-        for layer in (self.forced, self.records):
-            if not layer:
-                continue
-            if len(layer) <= len(positions):
-                for node, state in layer.items():
-                    pos = positions.get(node)
-                    if pos is None:
-                        continue
-                    if patched is None:
-                        if raw[pos] == state:
-                            continue
-                        patched = bytearray(raw)
-                    patched[pos] = state
-            else:
-                for node, pos in positions.items():
-                    state = layer.get(node)
-                    if state is None:
-                        continue
-                    if patched is None:
-                        if raw[pos] == state:
-                            continue
-                        patched = bytearray(raw)
-                    patched[pos] = state
-        if patched is None:
-            # The shared (hash-cached) object: most components are
-            # untouched by this circuit's fault and divergences.
-            return raw
-        return bytes(patched)
-
-
-class _OverlayTransistors:
-    """Transistor-state view of one faulty circuit.
-
-    Forced transistors (the circuit's own plus the good-circuit forcing
-    for inserted fault devices) take their forced state; all others
-    derive from the circuit's view of their gate node.
-    """
-
-    __slots__ = ("kinds", "gates", "states", "forced")
-
-    def __init__(
-        self,
-        net: Network,
-        states: _OverlayStates,
-        forced: Mapping[int, int],
-    ):
-        self.kinds = net.t_kind
-        self.gates = net.t_gate
-        self.states = states
-        self.forced = forced
-
-    def __getitem__(self, t: int) -> int:
-        forced = self.forced
-        if forced:
-            state = forced.get(t)
-            if state is not None:
-                return state
-        return TRANS_TABLE[self.kinds[t]][self.states[self.gates[t]]]
 
 
 class _GoodCircuit:
@@ -345,7 +142,12 @@ class _GoodCircuit:
 
 
 class _FaultyCircuit:
-    """One faulty circuit's overlay views as a kernel ``RoundCircuit``."""
+    """One faulty circuit as a kernel ``RoundCircuit``.
+
+    Its ``states`` / ``tstates`` are the simulator's shared views, which
+    hold this circuit's round-start states only while
+    :meth:`ConcurrentFaultSimulator._faulty_round` has them patched.
+    """
 
     __slots__ = (
         "sim", "cid", "states", "tstates", "forced_nodes",
@@ -363,24 +165,10 @@ class _FaultyCircuit:
         self.applied_changes = False
         pf = sim.prepared[cid]
         self.forced_nodes = pf.forced_nodes
-        if pf.forced_nodes:
-            self.states = _OverlayStatesForced(
-                sim._prev_states,
-                sim.circuit_records[cid],
-                pf.forced_nodes,
-                sim._base_key_cache,
-            )
-        else:
-            self.states = _OverlayStates(
-                sim._prev_states,
-                sim.circuit_records[cid],
-                sim._base_key_cache,
-            )
+        self.states = sim._view_states
+        self.tstates = sim._view_tstates
         self.forced_transistors = sim._merged_forced_t[cid]
         self.compiled_sig_cache: dict[int, tuple] = {}
-        self.tstates = _OverlayTransistors(
-            sim.network, self.states, self.forced_transistors
-        )
         self._fault_comps = sim._fault_comps.get(cid)
 
     def take_seeds(self) -> set[int]:
@@ -406,15 +194,15 @@ class _FaultyCircuit:
         # ``expand_seed`` (storage seeds are their own seed, input and
         # forced seeds perturb the storage nodes they conduct to), so
         # its output feeds the dynamic kernel directly; the component
-        # check runs *before* the conducting-channel test: rail seeds
-        # (vdd/gnd) have channel lists spanning the circuit, and the
-        # per-channel transistor-state reads go through the overlay
-        # views -- skipping them for clean components is a large win.
+        # check runs *before* the conducting-channel test, and walks
+        # whichever side is smaller -- the seed's channels grouped by
+        # component, or the circuit's dirty and fault components: a
+        # rail seed (vdd/gnd) has channels into most components.
         dirty_comps = self.sim._dirty_comp_counts[self.cid]
         fault_comps = self._fault_comps
         node_component = topo.node_component
         node_is_input = net.node_is_input
-        node_channels = net.node_channels
+        channels_by_comp = self.sim._channels_by_comp
         forced = self.forced_nodes
         tstates = self.tstates
         kept: set[int] = set()
@@ -426,15 +214,22 @@ class _FaultyCircuit:
                 continue
             # Input/forced seed: perturbs the storage nodes it conducts
             # to (the paper's second perturbation rule).
-            for t, m in node_channels[raw_seed]:
-                if m in kept or node_is_input[m] or m in forced:
-                    continue
-                cid = node_component[m]
-                if cid not in dirty_comps and cid not in fault_comps:
-                    continue
-                if tstates[t] == 0:
-                    continue
-                kept.add(m)
+            by_comp = channels_by_comp(raw_seed)
+            if len(by_comp) <= len(dirty_comps) + len(fault_comps):
+                comps = [
+                    cid for cid in by_comp
+                    if cid in dirty_comps or cid in fault_comps
+                ]
+            else:
+                comps = [
+                    cid for cid in (*dirty_comps, *fault_comps)
+                    if cid in by_comp
+                ]
+            for cid in comps:
+                for t, m in by_comp[cid]:
+                    if m in kept or m in forced or tstates[t] == 0:
+                        continue
+                    kept.add(m)
         self._seeds = set()
         return kept
 
@@ -459,11 +254,13 @@ class _FaultyCircuit:
         if old_good:
             recomputed = {node for node, _state in changes}
             for solution in solutions:
+                if old_good.keys().isdisjoint(solution.members):
+                    continue
                 for node in solution.members:
                     if node in old_good and node not in recomputed:
                         changes.append((node, self.states[node]))
         if changes:
-            self.sim._apply_circuit_changes(self.cid, changes, self.states)
+            self.sim._apply_circuit_changes(self.cid, changes)
 
 
 class ConcurrentFaultSimulator:
@@ -509,7 +306,7 @@ class ConcurrentFaultSimulator:
         self.max_rounds = max_rounds
         self.locality = locality
         #: With the compiled locality one cache (on the instrumented
-        #: network) serves the good circuit and every faulty overlay:
+        #: network) serves the good circuit and every faulty circuit:
         #: a faulty circuit differs from the good one on only a few
         #: components, so most of its solves hit entries the good
         #: circuit (or a sibling fault) already paid for.
@@ -558,6 +355,27 @@ class ConcurrentFaultSimulator:
         #: a round's faulty circuits run, when nodes the good round just
         #: changed still hold their previous value (round alignment).
         self._prev_states: list[int] = list(self.states)
+        #: Round-start good transistor states, kept in step with
+        #: ``_prev_states`` (the gate fan-out of every node synced there).
+        self._prev_tstates: list[int] = list(self.tstates)
+        #: The shared views every faulty circuit reads: equal to the two
+        #: snapshots except during one circuit's round, when
+        #: :meth:`_faulty_round` has that circuit's divergence patched in.
+        self._view_states: list[int] = list(self._prev_states)
+        self._view_tstates: list[int] = list(self._prev_tstates)
+        #: Per node: (transistor, Table 1 row) for each transistor it
+        #: gates whose state depends on the gate (not d-type) and which
+        #: the good circuit does not force -- the positions a divergent
+        #: node's state patches into ``_view_tstates``.
+        self._gate_rows: list[tuple[tuple[int, tuple[int, ...]], ...]] = [
+            tuple(
+                (t, TRANS_TABLE[net_.t_kind[t]])
+                for t in net_.node_gates[node]
+                if len(set(TRANS_TABLE[net_.t_kind[t]])) > 1
+                and t not in self.good_forced_transistors
+            )
+            for node in range(net_.n_nodes)
+        ]
         #: Nodes (-> old value) the current round's good changes
         #: overwrote; drives ``_prev_states`` resync and the faulty
         #: adapters' synthesized record-maintenance entries.
@@ -581,9 +399,6 @@ class ConcurrentFaultSimulator:
         self._dirty_comp_counts: dict[int, dict[int, int]] = {
             cid: {} for cid in self.prepared
         }
-        #: Round-start base-state key bytes per node tuple, shared by
-        #: every faulty overlay; cleared whenever the snapshot changes.
-        self._base_key_cache: dict = {}
         self.node_records: list[StateList | None] = [None] * net_.n_nodes
         self._merged_forced_t: dict[int, Mapping[int, int]] = {}
         for cid, pf in self.prepared.items():
@@ -634,12 +449,16 @@ class ConcurrentFaultSimulator:
                         fault_comps.add(comp_of_t)
                 fault_comps.discard(-1)
                 self._fault_comps[cid] = fault_comps
+        #: Memo for :meth:`_channels_by_comp`, filled per seed node.
+        self._channel_comps: dict[
+            int, dict[int, tuple[tuple[int, int], ...]]
+        ] = {}
         #: Redundancy-trim counters surfaced on the run report.
         self._round_skips = 0
         self._sites_pruned = 0
         self._fault_pending: dict[int, set[int]] = {}
-        #: Reusable per-circuit round adapters (their overlay views hold
-        #: only stable references: records dict, forced map, snapshot).
+        #: Reusable per-circuit round adapters (they hold only stable
+        #: references: the shared views and the circuit's forcing maps).
         self._adapters: dict[int, _FaultyCircuit] = {}
 
         # Static topology tables used by the trigger scan: the gate nodes
@@ -788,12 +607,11 @@ class ConcurrentFaultSimulator:
             if self.states[node] == state:
                 continue
             self.states[node] = state
-            # Inputs change for every circuit at once; the round-start
-            # snapshot follows immediately (standalone simulations see
-            # new inputs before their first round too).
-            self._prev_states[node] = state
-            self._base_key_cache.clear()
             self._good_node_changed(node)
+            # Inputs change for every circuit at once; the round-start
+            # snapshots follow immediately (standalone simulations see
+            # new inputs before their first round too).
+            self._follow_good((node,))
             self._good_pending.update(
                 expand_seed(net, self.tstates, node)
             )
@@ -1064,10 +882,10 @@ class ConcurrentFaultSimulator:
                     circuit.applied_changes = False
                     if count > self.max_rounds:
                         self.oscillation_events += 1
-                        kernel.force_x(circuit, batch_apply=True)
+                        self._faulty_round(circuit, force_x=True)
                         circuit_rounds[cid] = 0
                     else:
-                        kernel.step(circuit, batch=True)
+                        self._faulty_round(circuit)
                         # Only rounds that actually changed the circuit
                         # count toward its oscillation budget: a stable
                         # circuit re-triggered by good-circuit churn
@@ -1098,32 +916,104 @@ class ConcurrentFaultSimulator:
         fault_comps = self._fault_comps[cid]
         if not fault_comps:
             return False
-        net = self.network
         node_component = self._topo.node_component
-        node_is_input = net.node_is_input
+        node_is_input = self.network.node_is_input
         forced = self.prepared[cid].forced_nodes
         for seed in seeds:
             if not node_is_input[seed] and seed not in forced:
                 if node_component[seed] in fault_comps:
                     return True
                 continue
-            for _t, partner in net.node_channels[seed]:
-                if node_is_input[partner] or partner in forced:
-                    continue
-                if node_component[partner] in fault_comps:
-                    return True
+            by_comp = self._channels_by_comp(seed)
+            for comp in fault_comps:
+                for _t, partner in by_comp.get(comp, ()):
+                    if partner not in forced:
+                        return True
         return False
 
+    def _channels_by_comp(
+        self, node: int
+    ) -> dict[int, tuple[tuple[int, int], ...]]:
+        """``node``'s channels to storage partners, grouped by the
+        partner's component: ``{component: ((transistor, partner),
+        ...)}``, in channel order within each component (memoized)."""
+        grouped = self._channel_comps.get(node)
+        if grouped is None:
+            net = self.network
+            node_component = self._topo.node_component
+            lists: dict[int, list[tuple[int, int]]] = {}
+            for t, m in net.node_channels[node]:
+                if not net.node_is_input[m]:
+                    lists.setdefault(node_component[m], []).append((t, m))
+            grouped = {comp: tuple(pairs) for comp, pairs in lists.items()}
+            self._channel_comps[node] = grouped
+        return grouped
+
+    def _faulty_round(
+        self, circuit: _FaultyCircuit, force_x: bool = False
+    ) -> None:
+        """One round of a faulty circuit, read through the shared views.
+
+        The views are patched with the circuit's forced nodes and
+        records, then the transistors those nodes gate, then its own
+        forced transistors (the good circuit's forcing is already in the
+        snapshot).  Exactly those positions are restored afterwards,
+        also when the round raises, so both the patch and the restore
+        cost O(divergence).  The record keys are listed before the
+        round: the round rewrites the circuit's records, never the
+        views.  Records are written after forced nodes, so they win.
+        """
+        view = self._view_states
+        tview = self._view_tstates
+        gate_rows = self._gate_rows
+        pf = self.prepared[circuit.cid]
+        forced_nodes = pf.forced_nodes
+        records = self.circuit_records[circuit.cid]
+        own_forced_t = pf.forced_transistors
+        for layer in (forced_nodes, records):
+            for node, state in layer.items():
+                view[node] = state
+                for t, row in gate_rows[node]:
+                    tview[t] = row[state]
+        for t, state in own_forced_t.items():
+            tview[t] = state
+        patched = [*forced_nodes, *records]
+        try:
+            if force_x:
+                self._kernel.force_x(circuit, batch_apply=True)
+            else:
+                self._kernel.step(circuit, batch=True)
+        finally:
+            prev = self._prev_states
+            prev_t = self._prev_tstates
+            for node in patched:
+                view[node] = prev[node]
+                for t, _row in gate_rows[node]:
+                    tview[t] = prev_t[t]
+            for t in own_forced_t:
+                tview[t] = prev_t[t]
+
     def _sync_prev_states(self) -> None:
-        """Fold the round's good changes into the round-start snapshot."""
+        """Fold the round's good changes into the round-start snapshots."""
         old_good = self._old_good
         if old_good:
-            states = self.states
-            prev = self._prev_states
-            for node in old_good:
-                prev[node] = states[node]
+            self._follow_good(old_good)
             old_good.clear()
-            self._base_key_cache.clear()
+
+    def _follow_good(self, nodes: Iterable[int]) -> None:
+        """Copy the good states of ``nodes`` and of the transistors they
+        gate into the round-start snapshots and the (unpatched) views."""
+        states = self.states
+        tstates = self.tstates
+        prev = self._prev_states
+        view = self._view_states
+        prev_t = self._prev_tstates
+        view_t = self._view_tstates
+        node_gates = self.network.node_gates
+        for node in nodes:
+            prev[node] = view[node] = states[node]
+            for t in node_gates[node]:
+                prev_t[t] = view_t[t] = tstates[t]
 
     def _apply_good_round(self, solutions: list[VicinitySolution]) -> None:
         """Apply one good round: states, trigger scans, then fan-out.
@@ -1165,7 +1055,7 @@ class ConcurrentFaultSimulator:
         ``changes`` carries (node, old_state, new_state).  Triggered
         circuits are rescheduled on the vicinity's seeds and changed
         nodes; their reads of any good state this round overwrote
-        resolve through the ``old_good`` layer, so their recomputation
+        resolve to the round-start snapshot, so their recomputation
         sees the same round r-1 values a standalone simulation would
         (the paper's event-creation rule: "a node in a faulty circuit
         that previously had the same state as the good circuit may now
@@ -1228,31 +1118,34 @@ class ConcurrentFaultSimulator:
         self,
         cid: int,
         changes: list[tuple[int, int]],
-        view: _OverlayStates,
     ) -> None:
         """Update records and derive next-round events for circuit cid.
 
-        ``view`` is the overlay the changes were computed against; it
-        supplies the circuit's pre-change states (which may live in the
-        ``old_good`` layer rather than in records).
+        The still-patched states view the changes were computed against
+        supplies the circuit's pre-change states (which may be the
+        round-start good states rather than records).
         """
         net = self.network
         good_states = self.states
-        merged_forced = self._merged_forced_t[cid]
+        view = self._view_states
+        own_forced_t = self.prepared[cid].forced_transistors
+        gate_rows = self._gate_rows
+        records = self.circuit_records[cid]
         old_states = {node: view[node] for node, _state in changes}
         for node, state in changes:
-            if state == good_states[node]:
-                self._remove_record(node, cid)
-            else:
+            if state != good_states[node]:
                 self._set_record(node, cid, state)
+            elif node in records:
+                self._remove_record(node, cid)
         next_seeds: set[int] = set()
         for node, state in changes:
             old = old_states[node]
-            for t in net.node_gates[node]:
-                if t in merged_forced:
-                    continue
-                table = TRANS_TABLE[net.t_kind[t]]
-                if table[old] != table[state]:
+            if old == state:
+                continue
+            # Gate rows leave out d-type and good-forced transistors,
+            # whose states never follow the gate.
+            for t, row in gate_rows[node]:
+                if row[old] != row[state] and t not in own_forced_t:
                     next_seeds.add(net.t_source[t])
                     next_seeds.add(net.t_drain[t])
         if next_seeds:

@@ -301,9 +301,8 @@ def _worker_main(
         if task is None:
             break
         job_id, spec = task
-        # A cancel aimed at a job that already finished can leave the
-        # event set; it must not leak into this job.
-        cancel_event.clear()
+        # The event was cleared at dispatch (WorkerPool.submit): a cancel
+        # that arrived while the task sat in the queue stays set here.
         try:
             _execute_job(worker_id, job_id, spec, cache, cancel_event, emit)
         except _Cancelled as cancelled:
@@ -436,6 +435,11 @@ class WorkerPool:
         handle.cached.move_to_end(spec.fingerprint)
         while len(handle.cached) > self.cache_size:
             handle.cached.popitem(last=False)
+        # A cancel aimed at the worker's previous job can leave the event
+        # set; clear it here, before the task is queued, and not in the
+        # worker -- clearing there would also drop a cancel for *this*
+        # job issued before the worker picked it up.
+        handle.cancel_event.clear()
         handle.task_queue.put((job_id, spec))
         return worker_id
 

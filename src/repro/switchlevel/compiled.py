@@ -3,10 +3,9 @@
 The dynamic-locality machinery (:mod:`repro.switchlevel.vicinity`)
 re-discovers the network's structure from scratch every round: a
 dict/set BFS per seed group, with one transistor-state lookup per
-incidence -- lookups that go through (possibly overlay) state views and
-dominate the fault simulator's profile.  MOSSIM II instead partitions
-the network into *channel-connected components* exactly once; this
-module is that compile pass, plus the caches it enables:
+incidence.  MOSSIM II instead partitions the network into
+*channel-connected components* exactly once; this module is that
+compile pass, plus the caches it enables:
 
 1. **Partition** -- storage nodes are grouped into static
    channel-connected components (transistor channels only; input nodes
@@ -170,17 +169,13 @@ class _PlainKeys:
 
 
 def state_keys(states):
-    """Per-round cache-key builder for any states view.
+    """Per-round cache-key builder over a plain states list.
 
-    Overlay views bring their own ``key_bytes`` (memoized against the
-    shared round-start snapshot); plain lists get a fresh
-    :class:`_PlainKeys`.  Valid only while ``states`` does not change --
-    one synchronous round.
+    Valid only while ``states`` does not change -- one synchronous
+    round.  A concurrent faulty circuit's list is the simulator's shared
+    view, patched with that circuit's divergence for the round.
     """
-    key_fn = getattr(states, "key_bytes", None)
-    if key_fn is None:
-        key_fn = _PlainKeys(states).key_bytes
-    return key_fn
+    return _PlainKeys(states).key_bytes
 
 
 class CompiledComponent:
@@ -263,9 +258,8 @@ class CompiledComponent:
 
         # The channel transistor states are a function of their gate
         # node states (plus per-circuit forced transistors), so
-        # conduction is derived from the -- typically fewer, and
-        # plain-list -- gate nodes instead of going through (possibly
-        # overlay) transistor-state views.
+        # conduction is derived from the -- typically fewer -- gate
+        # nodes instead of one read per channel transistor.
         edge_ts = tuple(sorted(set(edge_t)))
         t_gate = net.t_gate
         t_kind = net.t_kind
@@ -637,10 +631,10 @@ class CompiledNetwork:
 
         Returns one ``(members, boundary, changes, seeds)`` entry per
         region containing a seed -- the same regions (and the same
-        results) dynamic exploration hands out.  ``states`` is any
-        indexable view (a plain list or a concurrent overlay); nothing
-        is modified.  ``tstates`` is unused when the cache is on
-        (conduction derives from gate states) and kept for symmetry.
+        results) dynamic exploration hands out.  ``states`` is a plain
+        list; nothing is modified.  ``tstates`` is unused when the cache
+        is on (conduction derives from gate states) and kept for
+        symmetry.
         ``forced_transistors`` must name the circuit's transistor
         forcing, which overrides the gate-derived conduction.
         ``sig_cache``, when given, memoizes the component-local forced

@@ -20,7 +20,8 @@ are applied*, which is exactly the part that legitimately varies:
 * the engine mutates plain state vectors and re-derives seeds;
 * the concurrent good circuit interleaves trigger scans and divergence
   record maintenance;
-* a concurrent faulty circuit updates records through overlay views.
+* a concurrent faulty circuit reads shared round-start views patched
+  with its divergence and updates its records.
 
 A *circuit* is anything with the small duck-typed surface of
 :class:`RoundCircuit`: indexable ``states`` / ``tstates`` views, a
@@ -247,7 +248,8 @@ def force_x_solutions(
     applies solutions as it consumes them (the engine, the concurrent
     good circuit) sees each vicinity under the already-updated
     transistor states, while a caller that collects first and applies
-    once (a faulty circuit working through overlay views) computes every
+    once (a concurrent faulty circuit, whose views are patched for the
+    whole round) computes every
     vicinity against the round-start state.  Both behaviors predate the
     kernel and are preserved exactly.
     """

@@ -40,9 +40,8 @@ networks and a sound (information-monotone) approximation in the presence
 of X -- property-tested in ``tests/switchlevel/test_steady_state_props.py``.
 
 The vicinity's conducting edges arrive pre-snapshotted as plain integer
-tuples, so the relaxation loops never call back into (possibly overlay)
-state views: that indirection dominated the simulator's profile before
-this design.
+tuples, so the relaxation loops never index transistor-state views:
+only the members' and boundary nodes' own states are read.
 """
 
 from __future__ import annotations

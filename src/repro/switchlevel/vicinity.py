@@ -21,8 +21,10 @@ appear on the boundary with their forced state.
 
 :func:`explore` additionally snapshots the conducting-edge adjacency of
 the vicinity, so the steady-state solver's inner loops work on plain
-integers instead of going through (possibly overlay) state views -- the
-hot path of the whole simulator.
+integers instead of re-reading transistor states.  Exploring and
+solving are the hot path of the whole simulator.  ``tstates`` is a
+plain list for every caller: a concurrent faulty circuit passes the
+simulator's shared view, patched with its divergence for the round.
 """
 
 from __future__ import annotations
@@ -72,10 +74,9 @@ def explore(
     members: list[int] = []
     boundary: list[int] = []
     seen: set[int] = set()
-    # Edges are collected during the BFS (one transistor-state lookup per
-    # incidence -- these lookups go through per-circuit overlay views and
-    # dominate the fault simulator's profile) and resolved into the
-    # adjacency once membership is known.
+    # Edges are collected during the BFS (one transistor-state list read
+    # per incidence) and resolved into the adjacency once membership is
+    # known.
     raw_edges: list[tuple[int, int, int, int]] = []
 
     stack = [

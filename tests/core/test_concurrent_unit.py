@@ -14,6 +14,7 @@ from repro.core.faults import NodeStuckFault
 from repro.errors import FaultError, SimulationError
 from repro.netlist.builder import NetworkBuilder
 from repro.patterns.clocking import Phase, TestPattern
+from repro.switchlevel.network import TRANS_TABLE
 
 
 def two_stage_net():
@@ -171,3 +172,205 @@ class TestGoodOnly:
         simulator.run(patterns_for(0, 1, 0))
         assert simulator.total_divergence_records() == 0
         assert simulator.live_circuits == set()
+
+
+# --- shared round-start views -----------------------------------------------
+
+
+def expected_views(simulator, cid):
+    """A faulty circuit's round-start states, resolved layer by layer:
+    records -> forced nodes -> round-start good states, and forced
+    transistors over gate-derived transistor states."""
+    net = simulator.network
+    pf = simulator.prepared[cid]
+    records = simulator.circuit_records[cid]
+    states = [
+        records.get(node, pf.forced_nodes.get(node, state))
+        for node, state in enumerate(simulator._prev_states)
+    ]
+    merged = simulator._merged_forced_t[cid]
+    tstates = [
+        merged.get(t, TRANS_TABLE[net.t_kind[t]][states[net.t_gate[t]]])
+        for t in range(len(net.t_kind))
+    ]
+    return states, tstates
+
+
+def assert_good_snapshot(simulator):
+    expected = simulator.network.compute_transistor_states(
+        simulator._prev_states
+    )
+    for t, state in simulator.good_forced_transistors.items():
+        expected[t] = state
+    assert simulator._prev_tstates == expected
+
+
+def assert_views_restored(simulator):
+    assert simulator._view_states == simulator._prev_states
+    assert simulator._view_tstates == simulator._prev_tstates
+
+
+class _CheckingKernel:
+    """Delegates to the simulator's kernel; before every faulty round it
+    asserts the shared views hold exactly that circuit's states."""
+
+    def __init__(self, simulator, raise_on_faulty=False):
+        self.simulator = simulator
+        self.inner = simulator._kernel
+        self.raise_on_faulty = raise_on_faulty
+        self.faulty_steps = 0
+        self.faulty_force_x = 0
+
+    def _check(self, circuit):
+        simulator = self.simulator
+        states, tstates = expected_views(simulator, circuit.cid)
+        assert simulator._view_states == states
+        assert simulator._view_tstates == tstates
+        if self.raise_on_faulty:
+            # Prove there was something to restore.
+            assert (states, tstates) != (
+                simulator._prev_states,
+                simulator._prev_tstates,
+            )
+            raise RuntimeError("round failed mid-way")
+
+    def step(self, circuit, stats=None, *, batch=False):
+        if circuit is not self.simulator._good:
+            self.faulty_steps += 1
+            self._check(circuit)
+        self.inner.step(circuit, stats, batch=batch)
+
+    def force_x(self, circuit, stats=None, *, batch_apply=False):
+        if circuit is not self.simulator._good:
+            self.faulty_force_x += 1
+            self._check(circuit)
+        self.inner.force_x(circuit, stats, batch_apply=batch_apply)
+
+
+def instrument(simulator, raise_on_faulty=False):
+    """Check the view invariants around every faulty round and at every
+    round boundary of ``simulator`` from now on."""
+    kernel = _CheckingKernel(simulator, raise_on_faulty)
+    simulator._kernel = kernel
+    faulty_round = simulator._faulty_round
+    sync = simulator._sync_prev_states
+
+    def checked_faulty_round(circuit, force_x=False):
+        try:
+            faulty_round(circuit, force_x)
+        finally:
+            assert_views_restored(simulator)
+
+    def checked_sync():
+        sync()
+        assert simulator._prev_states == simulator.states
+        assert_good_snapshot(simulator)
+        assert_views_restored(simulator)
+
+    simulator._faulty_round = checked_faulty_round
+    simulator._sync_prev_states = checked_sync
+    return kernel
+
+
+def ram_fault_mix(ram):
+    from repro.core.faults import (
+        ShortFault,
+        TransistorStuckFault,
+        node_stuck_universe,
+        sample_faults,
+    )
+
+    faults = sample_faults(node_stuck_universe(ram.net), 10, seed=3)
+    faults += [
+        TransistorStuckFault("c0_0.w", closed=False),
+        TransistorStuckFault("c0_0.w", closed=True),
+        TransistorStuckFault("c1_1.r", closed=False),
+        TransistorStuckFault("rbl0.pre", closed=False),
+    ]
+    faults += [ShortFault(a, b) for a, b in ram.bitline_adjacent_pairs()]
+    return faults
+
+
+def inverter_chain(stages):
+    b = NetworkBuilder()
+    b.input("a")
+    node = "a"
+    for k in range(stages):
+        node = nmos.inverter(b, node, f"s{k}")
+    return b.build(), node
+
+
+class TestSharedViews:
+    @pytest.mark.parametrize("locality", ["dynamic", "compiled"])
+    def test_views_track_every_faulty_round(self, locality):
+        from repro.circuits.ram import build_ram
+        from repro.patterns.sequences import sequence1
+
+        ram = build_ram(2, 2)
+        simulator = ConcurrentFaultSimulator(
+            ram.net,
+            ram_fault_mix(ram),
+            [ram.dout],
+            locality=locality,
+            drop_on_detect=False,
+        )
+        assert_good_snapshot(simulator)
+        assert_views_restored(simulator)
+        kernel = instrument(simulator)
+        simulator.run(list(sequence1(ram).patterns)[:40])
+        assert kernel.faulty_steps > 100
+        assert_views_restored(simulator)
+
+    def test_force_x_batch_apply_restores_views(self):
+        from repro.circuits.ram import build_ram
+        from repro.patterns.sequences import sequence1
+
+        ram = build_ram(2, 2)
+        simulator = ConcurrentFaultSimulator(
+            ram.net,
+            ram_fault_mix(ram),
+            [ram.dout],
+            max_rounds=1,
+            drop_on_detect=False,
+        )
+        kernel = instrument(simulator)
+        simulator.run(list(sequence1(ram).patterns)[:20])
+        assert kernel.faulty_force_x > 0
+        assert_views_restored(simulator)
+
+    def test_hard_cap_exit_keeps_views_in_step(self):
+        # Settle the chain first, then lower the round budget to 1: each
+        # further round forces the next stage to X, so the edge advances
+        # one stage per round and the settle hits the 3 * 1 + 50 round
+        # hard cap long before the 80th stage sees the input change.
+        net, last = inverter_chain(80)
+        simulator = ConcurrentFaultSimulator(
+            net,
+            [NodeStuckFault("s3", 1), NodeStuckFault("s40", 0)],
+            [last],
+            drop_on_detect=False,
+        )
+        simulator.apply_phase({"a": 0})
+        settled_last = simulator.good_state_of(last)
+        assert settled_last in (0, 1)
+        simulator.max_rounds = 1
+        kernel = instrument(simulator)
+        simulator.apply_phase({"a": 1})
+        assert simulator.oscillation_events > 0
+        assert simulator.good_state_of(last) == settled_last
+        assert kernel.faulty_steps + kernel.faulty_force_x > 0
+        assert simulator._stale_records == set()
+        assert_good_snapshot(simulator)
+        assert_views_restored(simulator)
+
+    def test_raising_round_restores_views(self):
+        net, mid, out = two_stage_net()
+        simulator = ConcurrentFaultSimulator(
+            net, [NodeStuckFault(mid, 1)], [out], drop_on_detect=False
+        )
+        simulator.apply_phase({"a": 1})  # good mid=0, faulty mid=1
+        kernel = instrument(simulator, raise_on_faulty=True)
+        with pytest.raises(RuntimeError, match="mid-way"):
+            simulator.apply_phase({"a": 0})
+        assert kernel.faulty_steps == 1
+        assert_views_restored(simulator)

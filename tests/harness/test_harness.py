@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from repro.core.report import PatternRecord, RunReport
 from repro.errors import ExperimentError
+from repro.harness import experiments
 from repro.harness.experiments import (
     run_fig1,
     run_fig2,
@@ -84,6 +86,61 @@ class TestFigures:
 @pytest.fixture(scope="module")
 def tiny_fig1():
     return run_fig1(rows=2, cols=2, n_faults=40)
+
+
+def fake_run(total, pattern_seconds):
+    report = RunReport(n_faults=0)
+    report.total_seconds = total
+    report.patterns = [
+        PatternRecord(index=i, label=f"p{i}", seconds=seconds,
+                      detections=0, live_after=0)
+        for i, seconds in enumerate(pattern_seconds)
+    ]
+    return report
+
+
+class TestTimedRuns:
+    def test_interleaved_medians(self, monkeypatch):
+        monkeypatch.setattr(experiments, "GOOD_REPEATS", 2)
+        monkeypatch.setattr(experiments, "SIM_REPEATS", 3)
+        calls = []
+        goods = iter([0.5, 0.1, 0.4, 0.2, 0.9, 0.3, 0.6, 0.7])
+        sims = iter([
+            fake_run(3.0, [1.0, 2.0]),
+            fake_run(2.0, [3.0, 0.5]),
+            fake_run(4.0, [2.0, 1.0]),
+        ])
+
+        def good_run():
+            calls.append("good")
+            return fake_run(next(goods), [])
+
+        def sim_run():
+            calls.append("sim")
+            return next(sims)
+
+        good, sim = experiments._timed_runs(good_run, sim_run)
+        assert calls == ["good"] * 2 + (["sim"] + ["good"] * 2) * 3
+        # Lower median of the eight good runs; the median fault run...
+        assert good.total_seconds == 0.4
+        assert sim.total_seconds == 3.0
+        # ...with each pattern's median across all three runs.
+        assert sim.seconds_per_pattern() == [2.0, 1.0]
+
+    def test_budget_stops_repeats(self):
+        calls = []
+
+        def good_run():
+            calls.append("good")
+            return fake_run(0.1, [])
+
+        def sim_run():
+            calls.append("sim")
+            return fake_run(experiments.REPEAT_BUDGET_SECONDS, [1.0])
+
+        _good, sim = experiments._timed_runs(good_run, sim_run)
+        assert calls.count("sim") == 1
+        assert sim.seconds_per_pattern() == [1.0]
 
 
 class TestDrivers:

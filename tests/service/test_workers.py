@@ -232,6 +232,39 @@ class TestCancellation:
     def test_cancel_unknown_job_is_false(self, pool):
         assert pool.cancel("no-such-job") is False
 
+    def test_cancel_before_pickup_is_kept(self):
+        """A cancel issued before the worker dequeues its job still
+        cancels it (the worker must not clear the event on pickup)."""
+        with WorkerPool(workers=1) as fresh:
+            job = make_job(rows=4, cols=4, n_faults=32, patterns_repeat=3)
+            fresh.submit("early-cancel", job)
+            assert fresh.cancel("early-cancel") is True
+            kind, payload = drain_job(fresh, "early-cancel")["terminal"]
+            assert kind == "cancelled"
+            assert payload["patterns_completed"] < len(job.patterns)
+
+    def test_stale_cancel_does_not_leak_into_next_job(self, pool):
+        """A cancel that lands after the job finished but before its
+        terminal event was noted leaves the event set; the next job
+        dispatched to that worker still runs to completion."""
+        pool.submit("finishing", make_job())
+        deadline = time.monotonic() + 60.0
+        terminal = None
+        while terminal is None and time.monotonic() < deadline:
+            event = pool.next_event(timeout=1.0)
+            if event is not None and event[2] == "finishing":
+                if event[0] in ("done", "cancelled", "error"):
+                    terminal = event
+                else:
+                    pool.note_event(event)
+        assert terminal is not None and terminal[0] == "done"
+        # The worker still counts as busy until the event is noted.
+        assert pool.cancel("finishing") is True
+        pool.note_event(terminal)
+        pool.submit("after-stale-cancel", make_job())
+        kind, _ = drain_job(pool, "after-stale-cancel")["terminal"]
+        assert kind == "done"
+
 
 class TestErrors:
     def test_bad_job_reports_error_event_and_frees_worker(self, pool):
