@@ -70,8 +70,8 @@ SCALES = {
         # serial trim would null the same d-type faults), and the
         # end-to-end speedup each backend must show against its own
         # static_prune=False baseline.  The prune removes work
-        # proportional to the pruned fraction (serial) or to dropped
-        # lane planes (batch), so the floor is modest.
+        # proportional to the pruned fraction (serial) or narrows the
+        # bit-plane (batch), so the floor is modest.
         "static": (4, 4, 60, None),
         "static_min_speedup": 1.02,
     },

@@ -92,7 +92,7 @@ def test_backend_comparison(bench_scale):
 
     # Fault dropping compacts batch lanes below the original width.
     if reports["batch"].detected > len(faults) // 2:
-        assert batch_sim.total_lane_bits() < len(faults)
+        assert batch_sim.lanes.lane_count < len(faults)
 
     payload = {
         "workload": "fig1_sequence1",

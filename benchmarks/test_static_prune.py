@@ -15,11 +15,10 @@ each on the universe where the prune's saving is structural:
 * ``serial`` simulates every faulty circuit through every pattern, so
   each pruned fault saves a full simulation; it runs a sample of the
   combined node-stuck + transistor-stuck universe.
-* ``batch`` dedicates a 64-bit lane to every fault for the whole run,
-  so the saving only materializes when pruning crosses a lane-plane
-  boundary; it runs the transistor-stuck universe, where the RAM's
-  always-on depletion loads make the pruned set large enough to drop a
-  whole plane (362 faults -> 6 planes, 315 kept -> 5 on RAM16).
+* ``batch`` dedicates one lane of a single bit-plane to every fault
+  for the whole run, so pruning narrows the plane; it runs the
+  transistor-stuck universe, where the RAM's always-on depletion loads
+  make the pruned set largest (315 of 362 faults kept on RAM16).
 
 (The concurrent backend's cost scales with *diverged state*, which is
 ~zero for unexcitable faults, so pruning buys it bookkeeping only.)
@@ -122,8 +121,8 @@ def test_static_prune_speedup(bench_scale):
         ("serial", "combined", pick(universe, n_serial),
          {"collapse": False, "trim": False}),
         # batch: one lane per fault for the whole run (no trim layer).
-        # Transistor-stuck only: that is where pruning crosses a
-        # lane-plane boundary instead of just thinning live lanes.
+        # Transistor-stuck only: that is where the pruned set is
+        # largest.
         ("batch", "transistor_stuck", pick(transistor, n_batch),
          {"collapse": False}),
     )

@@ -13,7 +13,7 @@ JSON and per-pattern CSV) land in ``results/paper_scale/``.
 Run:  python scripts/run_paper_experiments.py [--out DIR] [--skip-256]
                                               [--backend NAME] [--jobs N]
                                               [--inner-backend NAME]
-                                              [--lane-width W]
+                                              [--locality MODE]
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Subcommands::
     fmossim faultsim NETLIST --observe OUT [--faults stuck|all] [--limit N]
                              [--backend serial|concurrent|batch|sharded]
                              [--no-drop] [--detect-policy hard|any]
-                             [--clock process|perf] [--lane-width W]
+                             [--clock process|perf]
                              [--jobs N|auto] [--inner-backend NAME]
                              [--locality dynamic|static|compiled]
                              [--no-solve-cache] [--no-collapse]
@@ -298,13 +298,6 @@ def _add_policy_arguments(subparser) -> None:
 def add_backend_option_arguments(subparser) -> None:
     """Backend-constructor options, forwarded through the registry."""
     subparser.add_argument(
-        "--lane-width",
-        type=int,
-        default=None,
-        metavar="W",
-        help="batch backend: circuits simulated per bit-parallel pass",
-    )
-    subparser.add_argument(
         "--jobs",
         type=_jobs_argument,
         default=None,
@@ -380,8 +373,6 @@ def backend_options_from_args(args) -> dict:
     """Collect explicitly given backend options; the registry rejects
     combinations the selected backend does not accept."""
     options = {}
-    if args.lane_width is not None:
-        options["lane_width"] = args.lane_width
     if args.jobs is not None:
         options["jobs"] = args.jobs
     if args.inner_backend is not None:

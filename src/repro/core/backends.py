@@ -24,8 +24,8 @@ Registered backends:
     The paper's algorithm: one good circuit plus divergence records
     (:class:`~repro.core.concurrent.ConcurrentFaultSimulator`).
 ``batch``
-    Bit-parallel lockstep simulation of ``lane_width`` circuits per
-    pass (:class:`~repro.core.batch.BatchFaultSimulator`).
+    Bit-parallel lockstep simulation of every circuit in one bit-plane
+    (:class:`~repro.core.batch.BatchFaultSimulator`).
 ``sharded``
     Fault-partitioned multiprocess simulation: the fault list is split
     into contiguous shards, each simulated by an inner backend in its
@@ -58,7 +58,7 @@ from ..patterns.clocking import TestPattern
 from ..switchlevel.compiled import cache_stats
 from ..switchlevel.kernel import DEFAULT_MAX_ROUNDS, LOCALITIES
 from ..switchlevel.network import Network
-from .batch import DEFAULT_LANE_WIDTH, BatchFaultSimulator
+from .batch import BatchFaultSimulator
 from .concurrent import ConcurrentFaultSimulator
 from .detection import POLICIES, POLICY_HARD, Detection, DetectionLog
 from .faults import Fault, collapse_faults
@@ -176,10 +176,10 @@ def get_backend(name: str, **options: Any) -> FaultSimBackend:
     """Instantiate the backend registered as ``name``.
 
     ``options`` are forwarded to the backend constructor (e.g.
-    ``lane_width`` for ``batch``, ``jobs``/``inner_backend`` for
-    ``sharded``).  Unknown or invalid options raise
-    :class:`~repro.errors.SimulationError` naming the backend and the
-    options it accepts, instead of leaking the constructor's raw
+    ``locality`` for the single-process strategies, ``jobs``/
+    ``inner_backend`` for ``sharded``).  Unknown or invalid options
+    raise :class:`~repro.errors.SimulationError` naming the backend and
+    the options it accepts, instead of leaking the constructor's raw
     ``TypeError`` to callers such as the CLI.
     """
     try:
@@ -541,20 +541,18 @@ class ConcurrentBackend(FaultSimBackend):
 
 @register_backend
 class BatchBackend(FaultSimBackend):
-    """Bit-parallel lockstep simulation, ``lane_width`` circuits a pass."""
+    """Bit-parallel lockstep simulation, every circuit in one pass."""
 
     name = "batch"
 
     def __init__(
         self,
-        lane_width: int = DEFAULT_LANE_WIDTH,
         locality: str = "dynamic",
         solve_cache: bool = True,
         collapse: bool = True,
         static_prune: bool = True,
         good_trace: GoodTrace | None = None,
     ):
-        self.lane_width = lane_width
         self.locality = _validate_locality(locality)
         self.solve_cache = solve_cache
         self.collapse = collapse
@@ -582,13 +580,13 @@ class BatchBackend(FaultSimBackend):
             detection_policy=policy.detection_policy,
             drop_on_detect=policy.drop_on_detect,
             max_rounds=policy.max_rounds,
-            lane_width=self.lane_width,
             locality=self.locality,
             solve_cache=self.solve_cache,
             good_trace=self.good_trace,
         )
         before = cache_stats(simulator.network)
-        lane_hits_before, lane_misses_before = simulator.lane_cache_counters()
+        lanes = simulator.lanes
+        hits_before, misses_before = lanes.cache_hits, lanes.cache_misses
         report = simulator.run(
             patterns,
             clock=policy.clock,
@@ -596,12 +594,11 @@ class BatchBackend(FaultSimBackend):
         )
         if self.locality == "compiled":
             # One pool: the scalar good engine's network-level cache
-            # plus the per-chunk lane caches.
+            # plus the plane's lane cache.
             scalar = _cache_delta(simulator.network, before) or {}
-            lane_hits, lane_misses = simulator.lane_cache_counters()
-            hits = scalar.get("hits", 0) + lane_hits - lane_hits_before
+            hits = scalar.get("hits", 0) + lanes.cache_hits - hits_before
             misses = (
-                scalar.get("misses", 0) + lane_misses - lane_misses_before
+                scalar.get("misses", 0) + lanes.cache_misses - misses_before
             )
             lookups = hits + misses
             report.solve_cache = {

@@ -1,20 +1,24 @@
-"""Batch (bit-parallel) fault simulation: W faulty circuits per pass.
+"""Batch (bit-parallel) fault simulation: every faulty circuit per pass.
 
-The third strategy next to serial and concurrent simulation: pack up to
-``lane_width`` faulty circuits into the bit lanes of a
+The third strategy next to serial and concurrent simulation: pack every
+faulty circuit into the bit lanes of one
 :class:`~repro.switchlevel.bitplane.LaneSimulator` and advance them in
 lockstep.  Each lane is a *complete* faulty circuit (no good-circuit
 tracking, unlike the concurrent algorithm), but the work of a round is
 shared across lanes: gate evaluation, conduction updates and the
 steady-state relaxation all run once per union vicinity with lane masks
 instead of once per circuit (the approach of batch RTL fault simulators,
-arXiv:2505.06687, transplanted to the switch-level model).
+arXiv:2505.06687, transplanted to the switch-level model).  The plane
+is as wide as the fault list: Python integers are arbitrary-width, so a
+360-lane mask operation costs about what a 64-lane one does, while
+splitting the list into fixed-width chunks would repeat a round's
+exploration and solve once per chunk.
 
 Faults whose circuits agree keep their planes identical, so packed
 simulation costs roughly one circuit's work until faults actually
 diverge; detected circuits are dropped from the ``active`` lane mask
 immediately and the planes are *compacted* onto the surviving lanes
-once at most half a chunk is alive -- fault dropping trims the bit
+once at most half the plane is alive -- fault dropping trims the bit
 width itself, which is this backend's analogue of the concurrent
 simulator's record purge (and of ERASER-style redundancy pruning,
 arXiv:2504.16473).
@@ -49,97 +53,22 @@ from .report import PatternRecord, RunReport
 
 ProgressCallback = Callable[[PatternRecord, list[Detection]], None]
 
-#: Default number of faulty circuits packed per integer bit-plane.
-DEFAULT_LANE_WIDTH = 64
-
 #: Compaction threshold: repack once at most this fraction is alive.
 _COMPACT_FRACTION = 0.5
 
-#: Never compact chunks narrower than this (repacking costs more than
+#: Never compact planes narrower than this (repacking costs more than
 #: the dead lanes do).
 _COMPACT_MIN_WIDTH = 8
-
-
-class _Chunk:
-    """Up to ``lane_width`` prepared faults packed into one lane plane."""
-
-    __slots__ = ("pfs", "lanes")
-
-    def __init__(self, sim: "BatchFaultSimulator", pfs: list[PreparedFault]):
-        self.pfs = pfs
-        net = sim.network
-        full = (1 << len(pfs)) - 1
-        node_force_mask: dict[int, int] = {}
-        node_force_values: dict[int, tuple[int, int]] = {}
-        t_on: dict[int, int] = {}
-        t_off: dict[int, int] = {}
-        # Inserted fault devices default to their good-circuit forcing
-        # in every lane; each fault's own lane then overrides.
-        for t, state in sim.good_forced_transistors.items():
-            if state == CLOSED_STATE:
-                t_on[t] = full
-            else:
-                t_off[t] = full
-        for index, pf in enumerate(pfs):
-            bit = 1 << index
-            for node, value in pf.forced_nodes.items():
-                node_force_mask[node] = node_force_mask.get(node, 0) | bit
-                f0, f1 = node_force_values.get(node, (0, 0))
-                if value != 1:
-                    f0 |= bit
-                if value != 0:
-                    f1 |= bit
-                node_force_values[node] = (f0, f1)
-            for t, state in pf.forced_transistors.items():
-                t_on[t] = t_on.get(t, 0) & ~bit
-                t_off[t] = t_off.get(t, 0) & ~bit
-                if state == CLOSED_STATE:
-                    t_on[t] |= bit
-                else:
-                    t_off[t] |= bit
-        self.lanes = LaneSimulator(
-            net,
-            len(pfs),
-            node_force_mask=node_force_mask,
-            node_force_values=node_force_values,
-            t_force_on={t: m for t, m in t_on.items() if m},
-            t_force_off={t: m for t, m in t_off.items() if m},
-            compiled=sim.compiled,
-            solve_cache=sim.solve_cache,
-        )
-        # Rails, then fault activation, then one settle -- the same
-        # initialization order as a standalone engine per fault.
-        for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
-            if name in net.node_index:
-                node = net.node_index[name]
-                if net.node_is_input[node]:
-                    self.lanes.drive(node, state)
-        for index, pf in enumerate(pfs):
-            bit = 1 << index
-            for seed in pf.seeds:
-                self.lanes.perturb(seed, bit)
-            for node in pf.forced_nodes:
-                for t in net.node_gates[node]:
-                    for terminal in (net.t_source[t], net.t_drain[t]):
-                        if not net.node_is_input[terminal]:
-                            self.lanes.perturb(terminal, bit)
-
-    def merged_forced_transistors(
-        self, sim: "BatchFaultSimulator", pf: PreparedFault
-    ) -> Mapping[int, int]:
-        if not pf.forced_transistors:
-            return sim.good_forced_transistors
-        merged = dict(sim.good_forced_transistors)
-        merged.update(pf.forced_transistors)
-        return merged
 
 
 class BatchFaultSimulator:
     """Bit-parallel fault simulation of one network under a fault list.
 
     The constructor mirrors :class:`~repro.core.concurrent.
-    ConcurrentFaultSimulator`; ``lane_width`` bounds how many circuits
-    share one set of bit planes.
+    ConcurrentFaultSimulator`; every prepared fault gets one lane of a
+    single set of bit planes (:attr:`lanes`), and lane ``i`` simulates
+    ``pfs[i]``.  An empty fault list yields a 0-lane plane, on which
+    every step is a no-op.
     """
 
     def __init__(
@@ -151,7 +80,6 @@ class BatchFaultSimulator:
         detection_policy: str = POLICY_HARD,
         drop_on_detect: bool = True,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
-        lane_width: int = DEFAULT_LANE_WIDTH,
         locality: str = "dynamic",
         solve_cache: bool = True,
         good_trace: GoodTrace | None = None,
@@ -160,8 +88,6 @@ class BatchFaultSimulator:
             raise SimulationError(
                 f"unknown detection policy {detection_policy!r}"
             )
-        if lane_width < 1:
-            raise SimulationError("lane_width must be positive")
         if locality not in LOCALITIES:
             raise SimulationError(f"unknown locality mode: {locality!r}")
         instrumented: Instrumented = prepare(net, list(faults))
@@ -170,11 +96,10 @@ class BatchFaultSimulator:
         self.detection_policy = detection_policy
         self.drop_on_detect = drop_on_detect
         self.max_rounds = max_rounds
-        self.lane_width = lane_width
         self.locality = locality
         self.solve_cache = solve_cache
         #: Under the compiled locality the lanes select dirty components
-        #: from this partition (with per-chunk lane-aware solve caches);
+        #: from this partition (with a lane-aware solve cache of their own);
         #: the scalar good engine shares the network-level cache.  The
         #: static locality applies to the scalar good engine only: the
         #: lanes' union vicinity is already a component-complete region.
@@ -217,11 +142,10 @@ class BatchFaultSimulator:
         prepared = list(instrumented.prepared)
         self.live: set[int] = {pf.circuit_id for pf in prepared}
         self.n_faults = len(prepared)
-        self.chunks: list[_Chunk] = []
-        for start in range(0, len(prepared), lane_width):
-            chunk = _Chunk(self, prepared[start:start + lane_width])
-            self.chunks.append(chunk)
-            self._settle_chunk(chunk)
+        #: Prepared faults in lane order.
+        self.pfs: list[PreparedFault] = prepared
+        self.lanes = self._build_lanes()
+        self._settle_lanes()
 
         self.log = DetectionLog()
         self._pattern_index = 0
@@ -315,24 +239,22 @@ class BatchFaultSimulator:
                     )
                 if not net.node_is_input[node]:
                     raise SimulationError(f"node {name!r} is not an input")
-            for chunk in self.chunks:
-                if chunk.lanes.active:
-                    chunk.lanes.drive(node, state)
+            if self.lanes.active:
+                self.lanes.drive(node, state)
         if self.good is not None:
             self.good.settle()
-        for chunk in self.chunks:
-            # A fully detected chunk has nothing left to simulate; its
-            # lanes stay frozen at their drop-time states.
-            if chunk.lanes.active:
-                self._settle_chunk(chunk)
+        # Once every lane is detected (or there were none) nothing is
+        # left to simulate; dropped lanes stay frozen at their
+        # drop-time states.
+        if self.lanes.active:
+            self._settle_lanes()
 
     def circuit_state_of(self, circuit_id: int, name: str) -> int:
         """A faulty circuit's state of a node, by name."""
         node = self.network.node(name)
-        for chunk in self.chunks:
-            for index, pf in enumerate(chunk.pfs):
-                if pf.circuit_id == circuit_id:
-                    return chunk.lanes.lane_state(node, index)
+        for index, pf in enumerate(self.pfs):
+            if pf.circuit_id == circuit_id:
+                return self.lanes.lane_state(node, index)
         raise FaultError(
             f"no circuit {circuit_id} (compacted away or unknown)"
         )
@@ -342,27 +264,81 @@ class BatchFaultSimulator:
         """Ids of faulty circuits still being simulated."""
         return set(self.live)
 
-    def total_lane_bits(self) -> int:
-        """Current packed width across chunks (memory footprint proxy)."""
-        return sum(chunk.lanes.lane_count for chunk in self.chunks)
-
-    def lane_cache_counters(self) -> tuple[int, int]:
-        """(hits, misses) summed over every chunk's lane solve cache."""
-        hits = sum(chunk.lanes.cache_hits for chunk in self.chunks)
-        misses = sum(chunk.lanes.cache_misses for chunk in self.chunks)
-        return hits, misses
-
     # ------------------------------------------------------------------
-    # settling with the scalar oscillation fallback
+    # building the plane, settling with the scalar oscillation fallback
     # ------------------------------------------------------------------
-    def _settle_chunk(self, chunk: _Chunk) -> None:
-        pending_lanes = chunk.lanes.settle(self.max_rounds)
+    def _build_lanes(self) -> LaneSimulator:
+        """Pack every prepared fault into one lane plane, seeded.
+
+        Rails, then each fault's activation seeds in lane order; the
+        caller then settles once -- the same initialization order as a
+        standalone engine per fault.
+        """
+        net = self.network
+        pfs = self.pfs
+        full = (1 << len(pfs)) - 1
+        node_force_mask: dict[int, int] = {}
+        node_force_values: dict[int, tuple[int, int]] = {}
+        t_on: dict[int, int] = {}
+        t_off: dict[int, int] = {}
+        # Inserted fault devices default to their good-circuit forcing
+        # in every lane; each fault's own lane then overrides.
+        for t, state in self.good_forced_transistors.items():
+            if state == CLOSED_STATE:
+                t_on[t] = full
+            else:
+                t_off[t] = full
+        for index, pf in enumerate(pfs):
+            bit = 1 << index
+            for node, value in pf.forced_nodes.items():
+                node_force_mask[node] = node_force_mask.get(node, 0) | bit
+                f0, f1 = node_force_values.get(node, (0, 0))
+                if value != 1:
+                    f0 |= bit
+                if value != 0:
+                    f1 |= bit
+                node_force_values[node] = (f0, f1)
+            for t, state in pf.forced_transistors.items():
+                t_on[t] = t_on.get(t, 0) & ~bit
+                t_off[t] = t_off.get(t, 0) & ~bit
+                if state == CLOSED_STATE:
+                    t_on[t] |= bit
+                else:
+                    t_off[t] |= bit
+        lanes = LaneSimulator(
+            net,
+            len(pfs),
+            node_force_mask=node_force_mask,
+            node_force_values=node_force_values,
+            t_force_on={t: m for t, m in t_on.items() if m},
+            t_force_off={t: m for t, m in t_off.items() if m},
+            compiled=self.compiled,
+            solve_cache=self.solve_cache,
+        )
+        for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
+            if name in net.node_index:
+                node = net.node_index[name]
+                if net.node_is_input[node]:
+                    lanes.drive(node, state)
+        for index, pf in enumerate(pfs):
+            bit = 1 << index
+            for seed in pf.seeds:
+                lanes.perturb(seed, bit)
+            for node in pf.forced_nodes:
+                for t in net.node_gates[node]:
+                    for terminal in (net.t_source[t], net.t_drain[t]):
+                        if not net.node_is_input[terminal]:
+                            lanes.perturb(terminal, bit)
+        return lanes
+
+    def _settle_lanes(self) -> None:
+        pending_lanes = self.lanes.settle(self.max_rounds)
         while pending_lanes:
             lane = (pending_lanes & -pending_lanes).bit_length() - 1
             pending_lanes &= pending_lanes - 1
-            self._finish_lane(chunk, lane)
+            self._finish_lane(lane)
 
-    def _finish_lane(self, chunk: _Chunk, lane: int) -> None:
+    def _finish_lane(self, lane: int) -> None:
         """Hand one oscillating lane to a scalar engine to finish.
 
         The engine continues from the lane's mid-settle state with the
@@ -370,23 +346,29 @@ class BatchFaultSimulator:
         to its force-to-X attempts -- byte-for-byte what a standalone
         simulation of this circuit would do at this point.
         """
-        pf = chunk.pfs[lane]
-        states, tstates = chunk.lanes.extract_lane(lane)
+        pf = self.pfs[lane]
+        lanes = self.lanes
+        forced_transistors: Mapping[int, int] = self.good_forced_transistors
+        if pf.forced_transistors:
+            forced_transistors = {
+                **forced_transistors, **pf.forced_transistors
+            }
+        states, tstates = lanes.extract_lane(lane)
         engine = Engine(
             self.network,
             forced_nodes=pf.forced_nodes,
-            forced_transistors=chunk.merged_forced_transistors(self, pf),
+            forced_transistors=forced_transistors,
             max_rounds=self.max_rounds,
             locality=self.locality,
             solve_cache=self.solve_cache,
         )
         engine.states[:] = states
         engine.tstates[:] = tstates
-        engine.pending = chunk.lanes.pending_lane_nodes(lane)
+        engine.pending = lanes.pending_lane_nodes(lane)
         stats = SettleStats(rounds=self.max_rounds)
         engine.kernel.settle(engine, stats)
         self.oscillation_events += stats.x_fallbacks
-        chunk.lanes.writeback_lane(lane, engine.states)
+        lanes.writeback_lane(lane, engine.states)
 
     # ------------------------------------------------------------------
     # detection and lane compaction
@@ -403,59 +385,57 @@ class BatchFaultSimulator:
             ]
         self._observation_index += 1
         names = self.network.node_names
+        lanes = self.lanes
         for index, node in enumerate(self.observed):
             good_state = (
                 good_states[node] if recorded is None else recorded[index]
             )
-            for chunk in self.chunks:
-                lanes = chunk.lanes
-                p0, p1 = lanes.p0[node], lanes.p1[node]
-                if policy == POLICY_HARD:
-                    if good_state == 1:
-                        detected = p0 & ~p1
-                    elif good_state == 0:
-                        detected = p1 & ~p0
-                    else:
-                        detected = 0
-                else:  # POLICY_ANY: any state difference, X included
-                    if good_state == 1:
-                        detected = p0
-                    elif good_state == 0:
-                        detected = p1
-                    else:
-                        detected = ~(p0 & p1) & lanes.full
-                detected &= lanes.active
-                while detected:
-                    lane = (detected & -detected).bit_length() - 1
-                    detected &= detected - 1
-                    pf = chunk.pfs[lane]
-                    self.log.record(
-                        Detection(
-                            circuit_id=pf.circuit_id,
-                            description=pf.fault.describe(),
-                            pattern_index=self._pattern_index,
-                            phase_index=self._phase_index,
-                            node=names[node],
-                            good_state=good_state,
-                            faulty_state=lanes.lane_state(node, lane),
-                        )
+            p0, p1 = lanes.p0[node], lanes.p1[node]
+            if policy == POLICY_HARD:
+                if good_state == 1:
+                    detected = p0 & ~p1
+                elif good_state == 0:
+                    detected = p1 & ~p0
+                else:
+                    detected = 0
+            else:  # POLICY_ANY: any state difference, X included
+                if good_state == 1:
+                    detected = p0
+                elif good_state == 0:
+                    detected = p1
+                else:
+                    detected = ~(p0 & p1) & lanes.full
+            detected &= lanes.active
+            while detected:
+                lane = (detected & -detected).bit_length() - 1
+                detected &= detected - 1
+                pf = self.pfs[lane]
+                self.log.record(
+                    Detection(
+                        circuit_id=pf.circuit_id,
+                        description=pf.fault.describe(),
+                        pattern_index=self._pattern_index,
+                        phase_index=self._phase_index,
+                        node=names[node],
+                        good_state=good_state,
+                        faulty_state=lanes.lane_state(node, lane),
                     )
-                    if self.drop_on_detect:
-                        lanes.active &= ~(1 << lane)
-                        self.live.discard(pf.circuit_id)
+                )
+                if self.drop_on_detect:
+                    lanes.active &= ~(1 << lane)
+                    self.live.discard(pf.circuit_id)
 
     def _maybe_compact(self) -> None:
-        """Repack chunks whose live fraction dropped below the threshold."""
-        for chunk in self.chunks:
-            lanes = chunk.lanes
-            if lanes.lane_count < _COMPACT_MIN_WIDTH:
-                continue
-            alive = bin(lanes.active).count("1")
-            if alive <= lanes.lane_count * _COMPACT_FRACTION:
-                keep = [
-                    index
-                    for index in range(lanes.lane_count)
-                    if (lanes.active >> index) & 1
-                ]
-                chunk.pfs = [chunk.pfs[index] for index in keep]
-                lanes.compact(keep)
+        """Repack the plane once its live fraction drops to the threshold."""
+        lanes = self.lanes
+        if lanes.lane_count < _COMPACT_MIN_WIDTH:
+            return
+        alive = bin(lanes.active).count("1")
+        if alive <= lanes.lane_count * _COMPACT_FRACTION:
+            keep = [
+                index
+                for index in range(lanes.lane_count)
+                if (lanes.active >> index) & 1
+            ]
+            self.pfs = [self.pfs[index] for index in keep]
+            lanes.compact(keep)

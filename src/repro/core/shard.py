@@ -419,8 +419,8 @@ class ShardedBackend(FaultSimBackend):
     ``jobs`` bounds the worker count (``"auto"`` resolves to the CPUs
     usable by this process); ``inner_backend`` names the registered
     strategy each block runs; remaining keyword options are forwarded
-    to the inner backend's constructor (e.g. ``lane_width`` when the
-    inner backend is ``batch``).  A single block runs inline, so
+    to the inner backend's constructor (e.g. ``locality`` or
+    ``solve_cache``).  A single block runs inline, so
     ``jobs=1`` is the (nearly) overhead-free baseline for speedup
     measurements.
 

@@ -157,7 +157,7 @@ class CurveResult:
     seconds_per_pattern: list[float] = field(default_factory=list)
     cumulative_detections: list[int] = field(default_factory=list)
     live_after_pattern: list[int] = field(default_factory=list)
-    #: Constructor options the backend ran with (``lane_width``,
+    #: Constructor options the backend ran with (``locality``,
     #: ``jobs``...), archived so rows from differently-tuned runs of the
     #: same strategy stay distinguishable.
     backend_options: dict = field(default_factory=dict)

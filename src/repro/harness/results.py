@@ -48,7 +48,7 @@ def write_curve_csv(result: CurveResult, stream: TextIO) -> None:
 
     The backend and backend_options columns keep archived rows
     attributable when runs of several strategies (or several tunings of
-    one strategy -- lane widths, shard counts) are concatenated for
+    one strategy -- localities, shard counts) are concatenated for
     comparison; oscillation_events, collapsed and trim are run-level
     (repeated per row) so redundancy-elimination regressions are
     visible in concatenated archives -- ``collapsed`` is the

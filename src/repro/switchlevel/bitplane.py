@@ -936,8 +936,8 @@ class LaneSimulator:
 
         if _np is not None and self.lane_count <= 64:
             # One vectorized bit-gather per surviving lane over every
-            # integer in the memo at once (valid because chunk widths
-            # never exceed 64 lanes).
+            # integer in the memo at once (valid only while every lane
+            # index fits a uint64, hence the width guard).
             arr = _np.array(flat, dtype=_np.uint64)
             acc = _np.zeros(len(flat), dtype=_np.uint64)
             one = _np.uint64(1)

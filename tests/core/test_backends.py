@@ -64,9 +64,9 @@ class TestRegistry:
             get_backend("quantum")
 
     def test_get_backend_forwards_options(self):
-        backend = get_backend("batch", lane_width=7)
+        backend = get_backend("batch", locality="compiled")
         assert isinstance(backend, BatchBackend)
-        assert backend.lane_width == 7
+        assert backend.locality == "compiled"
 
     def test_get_backend_rejects_unsupported_options(self):
         # Regression: this used to leak a raw TypeError
@@ -74,18 +74,18 @@ class TestRegistry:
         # the CLI.  The error names the backend, the offending option
         # and the options it does accept.
         with pytest.raises(SimulationError) as excinfo:
-            get_backend("serial", lane_width=8)
+            get_backend("serial", jobs=8)
         message = str(excinfo.value)
         assert "serial" in message
-        assert "lane_width" in message
+        assert "jobs" in message
         assert "accepts: locality" in message
 
     def test_get_backend_rejects_unknown_option_names_accepted_ones(self):
         with pytest.raises(SimulationError) as excinfo:
-            get_backend("batch", lane_widht=8)  # typo'd option
+            get_backend("batch", localty="compiled")  # typo'd option
         message = str(excinfo.value)
         assert "batch" in message
-        assert "accepts: lane_width" in message
+        assert "accepts: locality" in message
 
     def test_get_backend_preserves_backend_raised_errors(self):
         # Errors a constructor raises itself pass through untouched.
@@ -160,8 +160,7 @@ class TestThreeWayParity:
         )
         concurrent.run(patterns)
         batch = BatchFaultSimulator(
-            net, faults, observed, max_rounds=60, drop_on_detect=False,
-            lane_width=3,  # several chunks, to exercise chunking
+            net, faults, observed, max_rounds=60, drop_on_detect=False
         )
         batch.run(patterns)
         serial = SerialFaultSimulator(net, faults, observed, max_rounds=60)
@@ -272,10 +271,13 @@ class TestThreeWayParity:
 
 
 class TestBatchMechanics:
-    def test_lane_chunking_splits_faults(self, ram_case):
+    def test_one_plane_holds_every_fault(self, ram_case):
         net, faults, observed, patterns = ram_case
-        simulator = BatchFaultSimulator(net, faults, observed, lane_width=5)
-        assert len(simulator.chunks) == (len(faults) + 4) // 5
+        simulator = BatchFaultSimulator(net, faults, observed)
+        assert simulator.lanes.lane_count == len(faults)
+        assert [pf.circuit_id for pf in simulator.pfs] == list(
+            range(1, len(faults) + 1)
+        )
 
     def test_dropping_compacts_lanes(self):
         from repro.core.faults import ram_fault_universe, sample_faults
@@ -284,13 +286,13 @@ class TestBatchMechanics:
         patterns = list(sequence1(ram).patterns)
         net, observed = ram.net, [ram.dout]
         faults = sample_faults(ram_fault_universe(ram), 24, seed=1)
-        simulator = BatchFaultSimulator(net, faults, observed, lane_width=64)
+        simulator = BatchFaultSimulator(net, faults, observed)
         report = simulator.run(patterns)
         assert report.detected > len(faults) // 2
-        # Compaction shrank the planes (it stops below the minimum
+        # Compaction shrank the plane (it stops below the minimum
         # width, so the packed width may still exceed the live count).
-        assert simulator.total_lane_bits() < len(faults)
-        assert simulator.total_lane_bits() >= len(simulator.live_circuits)
+        assert simulator.lanes.lane_count < len(faults)
+        assert simulator.lanes.lane_count >= len(simulator.live_circuits)
 
     def test_no_drop_keeps_all_lanes(self, ram_case):
         net, faults, observed, patterns = ram_case
@@ -298,8 +300,78 @@ class TestBatchMechanics:
             net, faults, observed, drop_on_detect=False
         )
         simulator.run(patterns)
-        assert simulator.total_lane_bits() == len(faults)
+        assert simulator.lanes.lane_count == len(faults)
         assert simulator.live_circuits == set(range(1, len(faults) + 1))
+
+    @pytest.mark.parametrize("locality", ["dynamic", "compiled"])
+    def test_plane_wider_than_64_lanes(self, locality, monkeypatch):
+        # More lanes than a machine word: compaction repacks from above
+        # 64 lanes, and under the compiled locality the solve memo takes
+        # _repack_memo's pure-Python branch.
+        from repro.core.faults import ram_fault_universe, sample_faults
+        from repro.switchlevel.bitplane import LaneSimulator
+
+        ram = build_ram(4, 4)
+        patterns = list(sequence1(ram).patterns)
+        net, observed = ram.net, [ram.dout]
+        faults = sample_faults(ram_fault_universe(ram), 120, seed=3)
+        compactions = []
+        memo_repacks = []
+        compact = LaneSimulator.compact
+        repack_memo = LaneSimulator._repack_memo
+
+        def spy_compact(self, keep):
+            compactions.append((self.lane_count, len(keep)))
+            compact(self, keep)
+
+        def spy_repack_memo(self, keep, pack):
+            memo_repacks.append((self.lane_count, len(self._solve_memo)))
+            repack_memo(self, keep, pack)
+
+        monkeypatch.setattr(LaneSimulator, "compact", spy_compact)
+        monkeypatch.setattr(LaneSimulator, "_repack_memo", spy_repack_memo)
+        simulator = BatchFaultSimulator(
+            net, faults, observed, drop_on_detect=True, locality=locality
+        )
+        assert simulator.lanes.lane_count == len(faults)
+        report = simulator.run(patterns)
+        serial = SerialFaultSimulator(net, faults, observed).run(patterns)
+        assert first_detections(report, len(faults)) == first_detections(
+            serial, len(faults)
+        )
+        assert any(width > 64 for width, _kept in compactions), compactions
+        if locality == "compiled":
+            assert any(
+                width > 64 and entries
+                for width, entries in memo_repacks
+            ), memo_repacks
+
+    def test_empty_fault_list(self, ram_case):
+        net, _faults, observed, patterns = ram_case
+        simulator = BatchFaultSimulator(net, [], observed)
+        report = simulator.run(patterns)
+        assert report.detected == 0
+        assert report.n_patterns == len(patterns)
+        assert simulator.lanes.lane_count == 0
+
+    def test_fully_pruned_fault_list(self):
+        from repro.analysis.static import classify_faults
+        from repro.core.faults import transistor_stuck_universe
+
+        ram = build_ram(2, 2)
+        patterns = list(sequence1(ram).patterns)
+        net, observed = ram.net, [ram.dout]
+        universe = transistor_stuck_universe(net)
+        verdict = classify_faults(net, universe, observed)
+        pruned = [
+            universe[circuit_id - 1]
+            for circuit_id in verdict.unexcitable + verdict.unobservable
+        ]
+        assert pruned
+        report = run_backend("batch", net, pruned, observed, patterns)
+        assert report.static_pruned["kept"] == 0
+        assert report.detected == 0
+        assert report.n_faults == len(pruned)
 
     def test_serial_backend_run_report_shape(self, ram_case):
         net, faults, observed, patterns = ram_case

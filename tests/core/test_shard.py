@@ -121,10 +121,10 @@ class TestShardedConfig:
             ShardedBackend(inner_backend="quantum")
 
     def test_inner_options_validated_eagerly(self):
-        with pytest.raises(SimulationError, match="concurrent"):
-            ShardedBackend(inner_backend="concurrent", lane_width=8)
-        backend = ShardedBackend(inner_backend="batch", lane_width=8)
-        assert backend.inner_options == {"lane_width": 8}
+        with pytest.raises(SimulationError, match="batch"):
+            ShardedBackend(inner_backend="batch", trim=False)
+        backend = ShardedBackend(inner_backend="concurrent", trim=False)
+        assert backend.inner_options == {"trim": False}
 
     def test_get_backend_round_trip(self):
         backend = get_backend(

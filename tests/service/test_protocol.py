@@ -75,7 +75,7 @@ def make_job(**overrides) -> JobSpec:
         policy=SimPolicy(detection_policy="any", drop_on_detect=False,
                          max_rounds=77, clock="perf"),
         backend="batch",
-        options={"lane_width": 8},
+        options={"locality": "compiled"},
     )
     fields.update(overrides)
     return JobSpec(**fields)

@@ -127,15 +127,15 @@ class TestFaultsim:
         assert code == 0
         assert "wall" in out  # --clock perf switches the time label
 
-    def test_batch_lane_width_round_trip(
+    def test_batch_backend_options_round_trip(
         self, netlist_path, tmp_path, capsys
     ):
         patterns = tmp_path / "pats.txt"
         patterns.write_text("a=0\n\na=1\n")
         code = main(
             ["faultsim", netlist_path, "--observe", "out",
-             "--patterns", str(patterns),
-             "--backend", "batch", "--lane-width", "4"]
+             "--patterns", str(patterns), "--backend", "batch",
+             "--locality", "compiled", "--no-solve-cache"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -250,7 +250,7 @@ class TestFaultsim:
         code = main(
             ["faultsim", netlist_path, "--observe", "out",
              "--patterns", str(patterns),
-             "--backend", "serial", "--lane-width", "8"]
+             "--backend", "serial", "--jobs", "2"]
         )
         captured = capsys.readouterr()
         assert code == 1
