@@ -68,8 +68,10 @@ SCALES = {
         # transistor-stuck universe or None=full) with the dynamic
         # redundancy eliminators off on both legs (collapse and the
         # serial trim would null the same d-type faults), and the
-        # end-to-end speedup each backend must show against its own
-        # static_prune=False baseline.  The prune removes work
+        # ratio each backend must show against its own
+        # static_prune=False baseline: counted work on both
+        # (circuit-patterns on serial, active-lane rounds on batch)
+        # and process-clock seconds on serial.  The prune removes work
         # proportional to the pruned fraction (serial) or narrows the
         # bit-plane (batch), so the floor is modest.
         "static": (4, 4, 60, None),

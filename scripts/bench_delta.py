@@ -10,9 +10,11 @@ them aside before the test run overwrites them); ``CURRENT_DIR``
 defaults to the working tree root.  Prints a GitHub-flavored Markdown
 table of every numeric leaf whose key mentions seconds (wall times,
 per-shard times), speedup, overhead, pruned-fault counts
-(``BENCH_static``'s static-analysis yield), or the shard scheduler's
-balance (``imbalance_ratio``, per-block ``block_faults``) with the
-relative delta, suitable for piping into ``$GITHUB_STEP_SUMMARY``.
+(``BENCH_static``'s static-analysis yield), ``BENCH_static``'s counted
+work (serial ``*_circuit_patterns``, batch ``*_rounds``), or the shard
+scheduler's balance (``imbalance_ratio``, per-block ``block_faults``)
+with the relative delta, suitable for piping into
+``$GITHUB_STEP_SUMMARY``.
 Numeric lists are flattened to indexed leaves (``path[i]``).
 
 Speedup metrics are only comparable between machines with the same
@@ -39,6 +41,8 @@ _METRIC_KEYS = (
     "seconds",
     "speedup",
     "pruned",
+    "circuit_patterns",
+    "rounds",
     "overhead",
     "imbalance",
     "block_faults",

@@ -59,6 +59,40 @@ def test_compares_pruned_fault_counts(tmp_path, capsys):
     assert "-50.0%" in out
 
 
+def test_counted_work_compared_across_cpus(tmp_path, capsys):
+    baseline = tmp_path / "base"
+    current = tmp_path / "cur"
+    baseline.mkdir()
+    current.mkdir()
+    _write(
+        baseline / "BENCH_static.json",
+        {
+            "cpus": 2,
+            "backends": {
+                "serial": {"optimized_circuit_patterns": 100},
+                "batch": {"optimized_plane_width_rounds": 400},
+            },
+        },
+    )
+    _write(
+        current / "BENCH_static.json",
+        {
+            "cpus": 4,
+            "backends": {
+                "serial": {"optimized_circuit_patterns": 110},
+                "batch": {"optimized_plane_width_rounds": 300},
+            },
+        },
+    )
+    out = _run(capsys, baseline, current)
+    # Work counts do not depend on parallelism: no cpus skip note.
+    assert "backends.serial.optimized_circuit_patterns" in out
+    assert "+10.0%" in out
+    assert "backends.batch.optimized_plane_width_rounds" in out
+    assert "-25.0%" in out
+    assert "skipped" not in out
+
+
 def test_shard_scheduler_leaves_compared(tmp_path, capsys):
     baseline = tmp_path / "base"
     current = tmp_path / "cur"
