@@ -11,8 +11,8 @@ Subcommands::
                              [--clock process|perf]
                              [--jobs N|auto] [--inner-backend NAME]
                              [--locality dynamic|static|compiled]
-                             [--no-solve-cache] [--no-collapse]
-                             [--no-trim] [--no-static-prune]
+                             [--no-collapse] [--no-trim]
+                             [--no-static-prune]
                              [--no-lint] [--profile N]
         Fault simulation (strategy selected from the backend registry)
         with randomly ordered input settings or a pattern file (one
@@ -321,12 +321,6 @@ def add_backend_option_arguments(subparser) -> None:
         "components with the solve cache (default: dynamic)",
     )
     subparser.add_argument(
-        "--no-solve-cache",
-        action="store_true",
-        help="compiled locality: disable the memoized per-component "
-        "solve cache (measure the compile-only effect)",
-    )
-    subparser.add_argument(
         "--no-collapse",
         action="store_true",
         help="simulate every fault individually instead of one "
@@ -379,8 +373,6 @@ def backend_options_from_args(args) -> dict:
         options["inner_backend"] = args.inner_backend
     if args.locality is not None:
         options["locality"] = args.locality
-    if args.no_solve_cache:
-        options["solve_cache"] = False
     if args.no_collapse:
         options["collapse"] = False
     if args.no_trim:

@@ -428,14 +428,12 @@ class SerialBackend(FaultSimBackend):
     def __init__(
         self,
         locality: str = "dynamic",
-        solve_cache: bool = True,
         collapse: bool = True,
         trim: bool = True,
         static_prune: bool = True,
         good_trace: GoodTrace | None = None,
     ):
         self.locality = _validate_locality(locality)
-        self.solve_cache = solve_cache
         self.collapse = collapse
         self.trim = trim
         self.static_prune = static_prune
@@ -462,7 +460,6 @@ class SerialBackend(FaultSimBackend):
             drop_on_detect=policy.drop_on_detect,
             max_rounds=policy.max_rounds,
             locality=self.locality,
-            solve_cache=self.solve_cache,
             trim=self.trim,
             good_trace=self.good_trace,
         )
@@ -489,14 +486,12 @@ class ConcurrentBackend(FaultSimBackend):
     def __init__(
         self,
         locality: str = "dynamic",
-        solve_cache: bool = True,
         collapse: bool = True,
         trim: bool = True,
         static_prune: bool = True,
         good_trace: GoodTrace | None = None,
     ):
         self.locality = _validate_locality(locality)
-        self.solve_cache = solve_cache
         self.collapse = collapse
         self.trim = trim
         self.static_prune = static_prune
@@ -524,7 +519,6 @@ class ConcurrentBackend(FaultSimBackend):
             drop_on_detect=policy.drop_on_detect,
             max_rounds=policy.max_rounds,
             locality=self.locality,
-            solve_cache=self.solve_cache,
             trim=self.trim,
             good_trace=self.good_trace,
         )
@@ -548,13 +542,11 @@ class BatchBackend(FaultSimBackend):
     def __init__(
         self,
         locality: str = "dynamic",
-        solve_cache: bool = True,
         collapse: bool = True,
         static_prune: bool = True,
         good_trace: GoodTrace | None = None,
     ):
         self.locality = _validate_locality(locality)
-        self.solve_cache = solve_cache
         self.collapse = collapse
         self.static_prune = static_prune
         self.good_trace = good_trace
@@ -581,7 +573,6 @@ class BatchBackend(FaultSimBackend):
             drop_on_detect=policy.drop_on_detect,
             max_rounds=policy.max_rounds,
             locality=self.locality,
-            solve_cache=self.solve_cache,
             good_trace=self.good_trace,
         )
         before = cache_stats(simulator.network)

@@ -81,7 +81,6 @@ class BatchFaultSimulator:
         drop_on_detect: bool = True,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         locality: str = "dynamic",
-        solve_cache: bool = True,
         good_trace: GoodTrace | None = None,
     ):
         if detection_policy not in POLICIES:
@@ -97,7 +96,6 @@ class BatchFaultSimulator:
         self.drop_on_detect = drop_on_detect
         self.max_rounds = max_rounds
         self.locality = locality
-        self.solve_cache = solve_cache
         #: Under the compiled locality the lanes select dirty components
         #: from this partition (with a lane-aware solve cache of their own);
         #: the scalar good engine shares the network-level cache.  The
@@ -129,7 +127,6 @@ class BatchFaultSimulator:
                 forced_transistors=self.good_forced_transistors,
                 max_rounds=max_rounds,
                 locality=locality,
-                solve_cache=solve_cache,
             )
             net_ = self.network
             for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
@@ -313,7 +310,6 @@ class BatchFaultSimulator:
             t_force_on={t: m for t, m in t_on.items() if m},
             t_force_off={t: m for t, m in t_off.items() if m},
             compiled=self.compiled,
-            solve_cache=self.solve_cache,
         )
         for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
             if name in net.node_index:
@@ -360,7 +356,6 @@ class BatchFaultSimulator:
             forced_transistors=forced_transistors,
             max_rounds=self.max_rounds,
             locality=self.locality,
-            solve_cache=self.solve_cache,
         )
         engine.states[:] = states
         engine.tstates[:] = tstates

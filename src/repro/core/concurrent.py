@@ -288,7 +288,6 @@ class ConcurrentFaultSimulator:
         drop_on_detect: bool = True,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         locality: str = "dynamic",
-        solve_cache: bool = True,
         trim: bool = True,
         good_trace: GoodTrace | None = None,
     ):
@@ -305,12 +304,6 @@ class ConcurrentFaultSimulator:
         self.drop_on_detect = drop_on_detect
         self.max_rounds = max_rounds
         self.locality = locality
-        #: With the compiled locality one cache (on the instrumented
-        #: network) serves the good circuit and every faulty circuit:
-        #: a faulty circuit differs from the good one on only a few
-        #: components, so most of its solves hit entries the good
-        #: circuit (or a sibling fault) already paid for.
-        self.solve_cache = solve_cache
         #: Redundancy trimming: clean-component seed filtering, whole
         #: round skips and fault-site index pruning.  All three only
         #: remove work whose outcome is provably identical to the good
@@ -321,8 +314,12 @@ class ConcurrentFaultSimulator:
             self.network,
             max_rounds=max_rounds,
             locality=locality,
-            solve_cache=solve_cache,
         )
+        #: With the compiled locality one cache (on the instrumented
+        #: network) serves the good circuit and every faulty circuit:
+        #: a faulty circuit differs from the good one on only a few
+        #: components, so most of its solves hit entries the good
+        #: circuit (or a sibling fault) already paid for.
         self._compiled = (
             compile_network(self.network) if locality == "compiled" else None
         )

@@ -211,7 +211,6 @@ def record_good_trace(
     forced_transistors: Mapping[int, int] | None = None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     locality: str = "compiled",
-    solve_cache: bool = True,
 ) -> GoodTrace:
     """Simulate the good circuit once; returns the recorded trace.
 
@@ -238,7 +237,6 @@ def record_good_trace(
         forced_transistors=forced_transistors,
         max_rounds=max_rounds,
         locality=locality,
-        solve_cache=solve_cache,
     )
     for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
         if name in net.node_index and net.node_is_input[net.node(name)]:

@@ -65,7 +65,6 @@ class SerialFaultSimulator:
         drop_on_detect: bool = True,
         max_rounds: int = 200,
         locality: str = "dynamic",
-        solve_cache: bool = True,
         trim: bool = True,
         good_trace: GoodTrace | None = None,
     ):
@@ -76,11 +75,6 @@ class SerialFaultSimulator:
         if locality not in LOCALITIES:
             raise SimulationError(f"unknown locality mode: {locality!r}")
         self.locality = locality
-        #: With the compiled locality the cache lives on the (shared)
-        #: instrumented network, so solves memoize across every per-fault
-        #: engine of the run -- faulty circuits mostly retrace the good
-        #: circuit's component configurations.
-        self.solve_cache = solve_cache
         self._instrumented: Instrumented = prepare(net, list(faults))
         self.network = self._instrumented.net
         if not observed:
@@ -139,11 +133,12 @@ class SerialFaultSimulator:
             ),
         )
         report.pattern_seconds = [0.0] * len(pattern_list)
+        reach = self._reach(pattern_list, reference) if self.trim else []
         start_total = timer()
         for pf in self._instrumented.prepared:
             start = timer()
             detected = self._simulate_fault(
-                pf, pattern_list, reference, report, timer
+                pf, pattern_list, reference, reach, report, timer
             )
             elapsed = timer() - start
             if detected is None:
@@ -181,7 +176,6 @@ class SerialFaultSimulator:
             forced_transistors=forced_transistors,
             max_rounds=self.max_rounds,
             locality=self.locality,
-            solve_cache=self.solve_cache,
         )
         net = self.network
         for name, state in (("vdd", 1), ("gnd", 0)):
@@ -215,7 +209,6 @@ class SerialFaultSimulator:
             forced_transistors=self._instrumented.good_forced_transistors,
             max_rounds=self.max_rounds,
             locality=self.locality,
-            solve_cache=self.solve_cache,
         )
         self.oscillation_events += trace.oscillation_events
         return trace
@@ -246,33 +239,56 @@ class SerialFaultSimulator:
                 return None
         return div
 
+    def _reach(
+        self, patterns: list[TestPattern], trace: GoodTrace
+    ) -> list[set[int] | None]:
+        """Per pattern, the nodes a faulty settle can examine while it
+        tracks the good run: the good run's touched storage nodes plus
+        the inputs the pattern drives (``None`` where the good pattern
+        oscillated).
+
+        Other inputs are left out although the good run's vicinities
+        list them as boundary: exploration never traverses *through* an
+        input, so divergent conduction toward an undriven input only
+        matters when the transistor's other terminal is examined.  A
+        driven input is different -- its change perturbs every storage
+        node it conducts to, and a divergently gated channel may
+        conduct in the faulty circuit where it is off in the good one.
+        """
+        net = self.network
+        is_input = net.node_is_input
+        reach: list[set[int] | None] = []
+        for pattern, touched in zip(patterns, trace.touched):
+            if touched is None:
+                reach.append(None)
+                continue
+            nodes = {n for n in touched if not is_input[n]}
+            for phase in pattern.phases:
+                nodes.update(map(net.node, phase.settings))
+            reach.append(nodes)
+        return reach
+
     def _site_set(self, div: dict[int, int]) -> set[int]:
         """Nodes the good run must stay away from for ``div`` to stay
         contained: the divergent nodes themselves plus the channel
         terminals of every transistor they gate (a divergent gate value
-        means divergent conduction there).
-
-        Input terminals (vdd/gnd, driven pins) are excluded: vicinity
-        exploration never traverses *through* an input, so divergent
-        conduction toward one only matters when the transistor's other
-        terminal is examined -- and that terminal is in the set."""
+        means divergent conduction there)."""
         net = self.network
-        is_input = net.node_is_input
         sites = set(div)
         for node in div:
             for t in net.node_gates[node]:
-                for terminal in (net.t_source[t], net.t_drain[t]):
-                    if not is_input[terminal]:
-                        sites.add(terminal)
+                sites.add(net.t_source[t])
+                sites.add(net.t_drain[t])
         return sites
 
     def _pattern_is_inert(
         self,
         sites: set[int],
         forced_node_list: list[int],
-        forced_t_list: list[tuple[int, int, tuple[int, ...]]],
+        forced_t_list: list[tuple[int, int, tuple[int, int]]],
         k: int,
         trace: GoodTrace,
+        reach: list[set[int] | None],
     ) -> bool:
         """True when the faulty circuit provably tracks the good circuit
         through pattern ``k`` -- same observations, same end-state delta
@@ -281,19 +297,19 @@ class SerialFaultSimulator:
         The argument is inductive: while the faulty state equals the
         good checkpoint outside ``sites``, the faulty settle explores
         the same vicinities as the good one *until* it reaches a
-        divergent node or fault site.  The good run's touched region
-        covers everything either run examines in that window, so sites
-        outside it (and, for a forced transistor, one the good run
-        never toggles away from the forced state) can never be reached
-        and never inject a difference.
+        divergent node or fault site.  The pattern's reach (see
+        :meth:`_reach`) covers everything either run examines in that
+        window, so sites outside it (and, for a forced transistor, one
+        the good run never toggles away from the forced state) can never
+        be reached and never inject a difference.
         """
-        touched = trace.touched[k]
-        if touched is None:
+        reached = reach[k]
+        if reached is None:
             return False  # the good pattern oscillated: never skip
-        if not touched.isdisjoint(sites):
+        if not reached.isdisjoint(sites):
             return False
         for node in forced_node_list:
-            if node in touched:
+            if node in reached:
                 return False
         if forced_t_list:
             toggled = trace.toggled[k]
@@ -303,7 +319,7 @@ class SerialFaultSimulator:
                     # Held the forced state all pattern anyway.
                     continue
                 for terminal in terminals:
-                    if terminal in touched:
+                    if terminal in reached:
                         return False
         return True
 
@@ -340,6 +356,7 @@ class SerialFaultSimulator:
         pf: PreparedFault,
         patterns: list[TestPattern],
         reference: GoodTrace,
+        reach: list[set[int] | None],
         report: SerialRunReport,
         timer: Callable[[], float],
     ) -> tuple[int, int] | None:
@@ -357,18 +374,8 @@ class SerialFaultSimulator:
         names = self.network.node_names
         net = self.network
         forced_node_list = list(pf.forced_nodes)
-        # Only non-input channel terminals can carry a forced-conduction
-        # difference into a vicinity (see _site_set).
         forced_t_list = [
-            (
-                t,
-                state,
-                tuple(
-                    terminal
-                    for terminal in (net.t_source[t], net.t_drain[t])
-                    if not net.node_is_input[terminal]
-                ),
-            )
+            (t, state, (net.t_source[t], net.t_drain[t]))
             for t, state in pf.forced_transistors.items()
         ]
         trim = report.trim
@@ -388,6 +395,7 @@ class SerialFaultSimulator:
                     forced_t_list,
                     pattern_index,
                     reference,
+                    reach,
                 ):
                     trim["patterns_skipped"] += 1
                     stale = True

@@ -420,9 +420,8 @@ class ShardedBackend(FaultSimBackend):
     usable by this process); ``inner_backend`` names the registered
     strategy each block runs; remaining keyword options are forwarded
     to the inner backend's constructor (e.g. ``locality`` or
-    ``solve_cache``).  A single block runs inline, so
-    ``jobs=1`` is the (nearly) overhead-free baseline for speedup
-    measurements.
+    ``trim``).  A single block runs inline, so ``jobs=1`` is the
+    (nearly) overhead-free baseline for speedup measurements.
 
     ``pool`` injects a persistent executor (anything with
     ``Executor``'s ``map``, e.g. :func:`shared_executor`): blocks run on
@@ -537,7 +536,6 @@ class ShardedBackend(FaultSimBackend):
                 observed,
                 pattern_list,
                 max_rounds=policy.max_rounds,
-                solve_cache=inner_options.get("solve_cache", True),
             )
             trace.seconds = time.process_time() - record_start
             if not trace.replayable:

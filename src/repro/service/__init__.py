@@ -26,8 +26,8 @@ away with the process.  This package keeps it alive:
     A small synchronous client used by the ``fmossim serve`` /
     ``fmossim submit`` CLI subcommands and by the tests.
 
-Everything is stdlib-only (asyncio + multiprocessing + json),
-consistent with the repo's optional-numpy posture.
+Everything is stdlib-only (asyncio + multiprocessing + json), like
+the rest of the package.
 """
 
 from __future__ import annotations

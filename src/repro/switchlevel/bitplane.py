@@ -85,7 +85,6 @@ class LaneSimulator:
         t_force_on: Mapping[int, int] | None = None,
         t_force_off: Mapping[int, int] | None = None,
         compiled: "CompiledNetwork | None" = None,
-        solve_cache: bool = True,
     ):
         net.require_finalized()
         self.net = net
@@ -106,7 +105,6 @@ class LaneSimulator:
         #: used to be flushed, which cold-started every component after
         #: each drop wave).
         self.compiled = compiled
-        self.solve_cache_enabled = solve_cache
         #: key -> (union of stored change lanes, change list).
         self._solve_memo: dict[tuple, tuple[int, list]] = {}
         #: (cid, conduction mask, member) -> region tuple.  A region is
@@ -364,23 +362,19 @@ class LaneSimulator:
         # region memo key alongside the seed -- a region is a pure
         # function of (component, mask, seed).
         mask = self._comp_masks[comp.cid]
-        use_cache = self.solve_cache_enabled
         regions = self._region_memo
         covered: set[int] | None = None
         changed: list[tuple[int, int, int, int]] = []
         for seed in sorted(seeds):
             if covered is not None and seed in covered:
                 continue
-            region = (
-                regions.get((comp.cid, mask, seed)) if use_cache else None
-            )
+            region = regions.get((comp.cid, mask, seed))
             if region is None:
                 region = self._explore_compiled(comp, mask, seed)
-                if use_cache:
-                    if len(regions) >= _MAX_LANE_CACHE_ENTRIES:
-                        regions.clear()
-                    for member in region[1]:
-                        regions[(comp.cid, mask, member)] = region
+                if len(regions) >= _MAX_LANE_CACHE_ENTRIES:
+                    regions.clear()
+                for member in region[1]:
+                    regions[(comp.cid, mask, member)] = region
             if len(seeds) > 1:
                 if covered is None:
                     covered = set(region[1])
@@ -483,39 +477,36 @@ class LaneSimulator:
             # incident channel off in every active lane: no arrivals,
             # so it keeps its charge and the solve is the identity.
             return []
-        use_cache = self.solve_cache_enabled
-        if use_cache:
-            key = (
-                rid,
-                self.lane_count,
-                node_get(self.p0),
-                node_get(self.p1),
-                ts_get(self.c_on),
-                ts_get(self.c_maybe),
-            )
-            entry = self._solve_memo.get(key)
-            if entry is not None:
-                self.cache_hits += 1
-                union, cached = entry
-                active = self.active
-                if union & ~active:
-                    # Stored under a wider active mask; per-lane results
-                    # are exact, so just drop the since-dropped lanes.
-                    cached = [
-                        (n, masked, new_p0, new_p1)
-                        for n, lanes, new_p0, new_p1 in cached
-                        if (masked := lanes & active)
-                    ]
-                return cached
+        key = (
+            rid,
+            self.lane_count,
+            node_get(self.p0),
+            node_get(self.p1),
+            ts_get(self.c_on),
+            ts_get(self.c_maybe),
+        )
+        entry = self._solve_memo.get(key)
+        if entry is not None:
+            self.cache_hits += 1
+            union, cached = entry
+            active = self.active
+            if union & ~active:
+                # Stored under a wider active mask; per-lane results
+                # are exact, so just drop the since-dropped lanes.
+                cached = [
+                    (n, masked, new_p0, new_p1)
+                    for n, lanes, new_p0, new_p1 in cached
+                    if (masked := lanes & active)
+                ]
+            return cached
         changed = self._solve(members, boundary, adj)
-        if use_cache:
-            self.cache_misses += 1
-            if len(self._solve_memo) >= _MAX_LANE_CACHE_ENTRIES:
-                self._solve_memo.clear()
-            union = 0
-            for _node, lanes, _p0, _p1 in changed:
-                union |= lanes
-            self._solve_memo[key] = (union, changed)
+        self.cache_misses += 1
+        if len(self._solve_memo) >= _MAX_LANE_CACHE_ENTRIES:
+            self._solve_memo.clear()
+        union = 0
+        for _node, lanes, _p0, _p1 in changed:
+            union |= lanes
+        self._solve_memo[key] = (union, changed)
         return changed
 
     def _explore(
@@ -866,11 +857,18 @@ class LaneSimulator:
     # ------------------------------------------------------------------
     def compact(self, keep: list[int]) -> None:
         """Repack all planes onto the ``keep`` lanes (ascending order)."""
+        # Planes and solve memo repeat a few distinct lane masks many
+        # times over (all-X, all-0, the active mask ...), so each
+        # distinct value is packed once per compaction.
+        packed_of: dict[int, int] = {}
 
         def pack(plane: int) -> int:
-            packed = 0
-            for j, lane in enumerate(keep):
-                packed |= ((plane >> lane) & 1) << j
+            packed = packed_of.get(plane)
+            if packed is None:
+                packed = 0
+                for j, lane in enumerate(keep):
+                    packed |= ((plane >> lane) & 1) << j
+                packed_of[plane] = packed
             return packed
 
         self.p0 = [pack(plane) for plane in self.p0]
@@ -920,67 +918,26 @@ class LaneSimulator:
         only in dropped lanes) agree on every surviving lane, so either
         may win.
         """
-        memo = self._solve_memo
-        flat: list[int] = []
-        for key, (_union, changed) in memo.items():
-            _cid, _lc, p0s, p1s, ons, maybes = key
-            flat += p0s
-            flat += p1s
-            flat += ons
-            flat += maybes
-            for _node, lanes, new_p0, new_p1 in changed:
-                flat.append(lanes)
-                flat.append(new_p0)
-                flat.append(new_p1)
-        from .compiled import _np
-
-        if _np is not None and self.lane_count <= 64:
-            # One vectorized bit-gather per surviving lane over every
-            # integer in the memo at once (valid only while every lane
-            # index fits a uint64, hence the width guard).
-            arr = _np.array(flat, dtype=_np.uint64)
-            acc = _np.zeros(len(flat), dtype=_np.uint64)
-            one = _np.uint64(1)
-            for j, lane in enumerate(keep):
-                acc |= ((arr >> _np.uint64(lane)) & one) << _np.uint64(j)
-            packed_flat = acc.tolist()
-        elif len(flat) <= 200_000:
-            packed_flat = [pack(value) for value in flat]
-        else:
-            # Too big to repack affordably in pure Python; fall back to
-            # the old flush rather than stall the drop wave.
-            memo.clear()
-            return
         new_lc = len(keep)
         new_memo: dict[tuple, tuple[int, list]] = {}
-        pos = 0
-        for key, (_union, changed) in memo.items():
-            cid, _lc, p0s, p1s, ons, maybes = key
-            w = len(p0s)
-            e = len(ons)
+        for key, (_union, changed) in self._solve_memo.items():
+            rid, _lc, p0s, p1s, ons, maybes = key
             new_key = (
-                cid,
+                rid,
                 new_lc,
-                tuple(packed_flat[pos : pos + w]),
-                tuple(packed_flat[pos + w : pos + 2 * w]),
-                tuple(packed_flat[pos + 2 * w : pos + 2 * w + e]),
-                tuple(packed_flat[pos + 2 * w + e : pos + 2 * w + 2 * e]),
+                tuple(map(pack, p0s)),
+                tuple(map(pack, p1s)),
+                tuple(map(pack, ons)),
+                tuple(map(pack, maybes)),
             )
-            pos += 2 * w + 2 * e
             new_changed = []
             new_union = 0
-            for node, _lanes, _p0, _p1 in changed:
-                lanes = packed_flat[pos]
+            for node, lanes, new_p0, new_p1 in changed:
+                lanes = pack(lanes)
                 if lanes:
                     new_changed.append(
-                        (
-                            node,
-                            lanes,
-                            packed_flat[pos + 1],
-                            packed_flat[pos + 2],
-                        )
+                        (node, lanes, pack(new_p0), pack(new_p1))
                     )
                     new_union |= lanes
-                pos += 3
             new_memo[new_key] = (new_union, new_changed)
         self._solve_memo = new_memo

@@ -44,13 +44,11 @@ compile pass, plus the caches it enables:
    the good circuit on only a few components, which is what makes the
    hit rate high.
 
-When numpy is importable (and ``REPRO_PURE_PYTHON`` is unset) the hot
-arrays additionally carry ndarray companions: conduction masks become
-one vectorized 2-D table lookup (``_TRANS_NP[kind, gate_state]`` +
-``packbits``) and cache keys one fancy-index gather + ``tobytes`` from
-a per-round state snapshot (see :func:`state_keys`).  The pure-Python
-loops remain as the automatic fallback and both paths are checked
-bit-for-bit equal by the locality property suite.
+The kernel is plain Python throughout: a cache key is the bytes of the
+node states it covers, ``bytes(map(states.__getitem__, nodes))``, built
+where it is probed.  Its results are checked bit-for-bit against the
+dynamic locality (``vicinity.explore`` + ``solve_vicinity``, the oracle)
+by the locality property suite.
 
 Per-circuit *forced nodes* (node faults acting as pseudo-inputs) are
 not known at compile time, so they are handled at region-build time: a
@@ -67,38 +65,14 @@ the caches *shared by every backend* running on the same network.
 
 from __future__ import annotations
 
-import os
 import weakref
 from array import array
-from itertools import count
 from typing import Mapping, Sequence
 
 from ..errors import NetworkNotFinalizedError
 from .network import TRANS_TABLE, Network
 from .steady_state import solve_vicinity
 from .vicinity import NO_FORCED
-
-# numpy is an optional accelerator, selected automatically at import:
-# conduction masks become one vectorized table lookup and cache keys one
-# fancy-index gather + ``tobytes``.  ``REPRO_PURE_PYTHON`` forces the
-# pure-Python fallback (the CI parity leg runs the whole locality suite
-# both ways); every consumer checks ``_np`` at call time, so tests can
-# also monkeypatch it off before building a network.
-try:
-    if os.environ.get("REPRO_PURE_PYTHON"):
-        raise ImportError("numpy disabled by REPRO_PURE_PYTHON")
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the pure-python CI leg
-    _np = None
-
-#: Table 1 as a 2-D uint8 array (row: transistor kind, column: gate
-#: state), so a component's channel states vectorize to
-#: ``_TRANS_NP[ts_kind, gate_states]``.
-_TRANS_NP = None if _np is None else _np.array(TRANS_TABLE, dtype=_np.uint8)
-
-#: Unique ids for key-carrying objects (components and regions): cache
-#: keys hash an int token instead of a long node tuple.
-_KEY_TOKENS = count()
 
 __all__ = [
     "CompiledComponent",
@@ -107,8 +81,6 @@ __all__ = [
     "adopt_compiled",
     "cache_stats",
     "compile_network",
-    "numpy_enabled",
-    "state_keys",
 ]
 
 
@@ -131,53 +103,6 @@ NO_COMPONENT = -1
 MAX_CACHE_ENTRIES = 1_000_000
 
 
-def numpy_enabled() -> bool:
-    """Whether the vectorized (numpy) kernel is active."""
-    return _np is not None
-
-
-class _PlainKeys:
-    """Packed-states cache-key builder over a plain list view.
-
-    One instance serves (at most) one synchronous round -- the states
-    must not change underneath it.  With numpy, a byte snapshot of the
-    full state vector is taken lazily on the first sizable key and every
-    key becomes a C-speed fancy-index gather + ``tobytes``; without
-    numpy (or for tiny node tuples, where the ndarray round-trip costs
-    more than it saves) keys fall back to ``bytes(map(...))``.
-    """
-
-    __slots__ = ("states", "_snap")
-
-    def __init__(self, states):
-        self.states = states
-        self._snap = None
-
-    def key_bytes(self, nodes, positions, token=None, idx=None):
-        snap = self._snap
-        if (
-            idx is not None
-            and _np is not None
-            and (snap is not None or len(nodes) >= 16)
-        ):
-            if snap is None:
-                snap = self._snap = _np.frombuffer(
-                    bytes(self.states), dtype=_np.uint8
-                )
-            return snap[idx].tobytes()
-        return bytes(map(self.states.__getitem__, nodes))
-
-
-def state_keys(states):
-    """Per-round cache-key builder over a plain states list.
-
-    Valid only while ``states`` does not change -- one synchronous
-    round.  A concurrent faulty circuit's list is the simulator's shared
-    view, patched with that circuit's divergence for the round.
-    """
-    return _PlainKeys(states).key_bytes
-
-
 class CompiledComponent:
     """One channel-connected component, lowered to flat arrays.
 
@@ -196,7 +121,6 @@ class CompiledComponent:
         "member_pos",
         "member_sizes",
         "boundary",
-        "boundary_pos",
         "edge_start",
         "edge_t",
         "edge_ti",
@@ -206,19 +130,10 @@ class CompiledComponent:
         "edge_ts",
         "edge_ts_set",
         "edge_gates",
-        "edge_gate_pos",
-        "edge_gate_set",
         "ts_kind",
         "ts_gpos",
         "ts_index",
-        "ts_kind_np",
-        "ts_gpos_np",
-        "edge_gates_idx",
-        "key_token",
         "comp_key_nodes",
-        "comp_key_pos",
-        "comp_key_idx",
-        "comp_key_token",
     )
 
     def __init__(
@@ -231,11 +146,8 @@ class CompiledComponent:
     ):
         self.cid = cid
         self.members = members
-        self.member_set = frozenset(members)
-        self.member_pos = {n: i for i, n in enumerate(members)}
         self.member_sizes = tuple(net.node_size[n] for n in members)
         self.boundary = boundary
-        self.boundary_pos = {n: i for i, n in enumerate(boundary)}
 
         node_is_input = net.node_is_input
         starts = [0]
@@ -275,20 +187,17 @@ class CompiledComponent:
 
         Shared by construction and unpickling: the pickled form carries
         only the flat CSR and per-``edge_ts`` tables, and everything
-        else -- index dicts, key-node layouts, ndarray companions and
-        fresh identity tokens -- comes back through here.
+        else -- index dicts and the key-node layout -- comes back
+        through here.
         """
         self.member_set = frozenset(self.members)
         self.member_pos = {n: i for i, n in enumerate(self.members)}
-        self.boundary_pos = {n: i for i, n in enumerate(self.boundary)}
         self.edge_ts = tuple(sorted(set(self.edge_t)))
         self.edge_ts_set = frozenset(self.edge_ts)
         ts_index = {t: i for i, t in enumerate(self.edge_ts)}
         self.ts_index = ts_index
         #: CSR edge -> index into ``edge_ts`` (its conduction-mask bit).
         self.edge_ti = tuple(ts_index[t] for t in self.edge_t)
-        self.edge_gate_pos = {g: i for i, g in enumerate(self.edge_gates)}
-        self.edge_gate_set = frozenset(self.edge_gates)
 
         # Everything a solve of this component can depend on, as one
         # node tuple: member charge, boundary drive and the gate states
@@ -300,35 +209,12 @@ class CompiledComponent:
             + self.boundary
             + tuple(g for g in self.edge_gates if g not in in_key)
         )
-        self.comp_key_pos = {
-            n: i for i, n in enumerate(self.comp_key_nodes)
-        }
-
-        self.key_token = next(_KEY_TOKENS)
-        self.comp_key_token = next(_KEY_TOKENS)
-        if _np is not None:
-            # ndarray companions of the hot flat arrays: conduction
-            # masks index Table 1 by kind x gate state in one shot, and
-            # cache-key bytes gather through the ``*_idx`` arrays.
-            self.ts_kind_np = _np.array(self.ts_kind, dtype=_np.intp)
-            self.ts_gpos_np = _np.array(self.ts_gpos, dtype=_np.intp)
-            self.edge_gates_idx = _np.array(self.edge_gates, dtype=_np.intp)
-            self.comp_key_idx = _np.array(
-                self.comp_key_nodes, dtype=_np.intp
-            )
-        else:
-            self.ts_kind_np = None
-            self.ts_gpos_np = None
-            self.edge_gates_idx = None
-            self.comp_key_idx = None
 
     def __getstate__(self) -> dict:
         """Core arrays only, int tuples packed as raw int64 buffers.
 
-        The identity tokens are deliberately *not* carried over: they
-        are process-local cache-key namespaces, and reusing pickled
-        values in another process could collide with tokens already
-        issued there.  ``_derive`` issues fresh ones on restore.
+        Every derived field (index dicts, the key-node layout) is
+        rebuilt by ``_derive`` on restore.
         """
         return {
             "cid": self.cid,
@@ -403,9 +289,6 @@ class Region:
         "boundary",
         "adjacency",
         "key_nodes",
-        "key_pos",
-        "key_token",
-        "key_idx",
         "state_override",
         "solves",
     )
@@ -436,12 +319,6 @@ class Region:
             - frozenset(inputs)
         )
         self.key_nodes = members + tuple(gates) + inputs
-        self.key_pos = {n: i for i, n in enumerate(self.key_nodes)}
-        self.key_token = next(_KEY_TOKENS)
-        self.key_idx = (
-            None if _np is None
-            else _np.array(self.key_nodes, dtype=_np.intp)
-        )
         self.state_override = state_override
         self.solves: dict[bytes, tuple[tuple[int, int], ...]] = {}
 
@@ -517,11 +394,10 @@ class CompiledNetwork:
     def __getstate__(self) -> dict:
         """The partition and indexes; never the solve caches.
 
-        The caches are both heavy (every memoized region and solve) and
-        meaningless across processes (their keys embed process-local
-        tokens), so a shipped compiled network arrives cold but fully
-        lowered -- the receiver skips the partition/lowering pass and
-        rebuilds cache state through normal use.
+        The caches are heavy (every memoized region and solve), so a
+        shipped compiled network arrives cold but fully lowered -- the
+        receiver skips the partition/lowering pass and rebuilds cache
+        state through normal use.
         """
         return {
             "net": self.net,
@@ -611,14 +487,11 @@ class CompiledNetwork:
         self,
         comp: CompiledComponent,
         states,
-        tstates,
         seeds: Sequence[int],
         forced: Mapping[int, int] = NO_FORCED,
         forced_transistors: Mapping[int, int] | None = None,
         *,
-        use_cache: bool = True,
         sig_cache: dict | None = None,
-        keys=None,
     ) -> list[
         tuple[
             tuple[int, ...],
@@ -632,17 +505,13 @@ class CompiledNetwork:
         Returns one ``(members, boundary, changes, seeds)`` entry per
         region containing a seed -- the same regions (and the same
         results) dynamic exploration hands out.  ``states`` is a plain
-        list; nothing is modified.  ``tstates`` is unused when the cache
-        is on (conduction derives from gate states) and kept for
-        symmetry.
+        list; nothing is modified.  Conduction derives from the gate
+        node states, so no transistor-state view is read.
         ``forced_transistors`` must name the circuit's transistor
         forcing, which overrides the gate-derived conduction.
         ``sig_cache``, when given, memoizes the component-local forced
         signatures per component id -- valid exactly as long as the
         caller's forcing maps are immutable (one circuit's lifetime).
-        ``keys``, when given, is a :func:`state_keys` builder for
-        ``states`` shared across the round's components (so the numpy
-        snapshot is taken once per round, not once per component).
         Returned tuples are shared with the cache -- callers must treat
         them as immutable.
         """
@@ -674,55 +543,46 @@ class CompiledNetwork:
         else:
             forced_sig, forced_t_sig = sigs
 
-        if keys is None:
-            keys = state_keys(states)
+        read = states.__getitem__
         cid = comp.cid
         if len(seeds) == 1:
             seeds_t = (seeds[0],) if isinstance(seeds, list) else tuple(seeds)
         else:
             seeds_t = tuple(sorted(seeds))
-        call_key = None
-        if use_cache:
-            # Evict only here, before any lookups or id interning: a
-            # mid-call eviction would let an already-resolved mask id
-            # be re-inserted into the freshly cleared memos and later
-            # collide with a different mask's id.  (Checked inline:
-            # this runs once per dirty component per round.)
-            if self._entries >= MAX_CACHE_ENTRIES:
-                self._evict_if_full()
-            # Whole-call fast path: one packed read of everything the
-            # component's solves can depend on, one probe.
-            comp_key = keys(
-                comp.comp_key_nodes, comp.comp_key_pos,
-                comp.comp_key_token, comp.comp_key_idx,
-            )
-            call_key = (seeds_t, forced_sig, forced_t_sig, comp_key)
-            cached_call = self._calls[cid].get(call_key)
-            if cached_call is not None:
-                self.hits += len(cached_call)
-                return cached_call
-
-        gate_key = keys(
-            comp.edge_gates, comp.edge_gate_pos,
-            comp.key_token, comp.edge_gates_idx,
+        # Evict only here, before any lookups or id interning: a
+        # mid-call eviction would let an already-resolved mask id be
+        # re-inserted into the freshly cleared memos and later collide
+        # with a different mask's id.  (Checked inline: this runs once
+        # per dirty component per round.)
+        if self._entries >= MAX_CACHE_ENTRIES:
+            self._evict_if_full()
+        # Whole-call fast path: one packed read of everything the
+        # component's solves can depend on, one probe.
+        call_key = (
+            seeds_t,
+            forced_sig,
+            forced_t_sig,
+            bytes(map(read, comp.comp_key_nodes)),
         )
+        calls = self._calls[cid]
+        cached_call = calls.get(call_key)
+        if cached_call is not None:
+            self.hits += len(cached_call)
+            return cached_call
 
-        mask_id = -1
-        if use_cache:
-            masks = self._masks[cid]
-            mask_key = (gate_key, forced_t_sig)
-            entry = masks.get(mask_key)
-            if entry is None:
-                mask = self._conduction_mask(comp, gate_key, forced_t_sig)
-                mask_ids = self._mask_ids[cid]
-                mask_id = mask_ids.setdefault(mask, len(mask_ids))
-                masks[mask_key] = (mask, mask_id)
-                self._entries += 1
-                self._comp_entries[cid] += 1
-            else:
-                mask, mask_id = entry
-        else:
+        gate_key = bytes(map(read, comp.edge_gates))
+        masks = self._masks[cid]
+        mask_key = (gate_key, forced_t_sig)
+        entry = masks.get(mask_key)
+        if entry is None:
             mask = self._conduction_mask(comp, gate_key, forced_t_sig)
+            mask_ids = self._mask_ids[cid]
+            mask_id = mask_ids.setdefault(mask, len(mask_ids))
+            masks[mask_key] = (mask, mask_id)
+            self._entries += 1
+            self._comp_entries[cid] += 1
+        else:
+            mask, mask_id = entry
 
         regions = self._regions[cid]
         ordered: list[Region] = []
@@ -732,19 +592,18 @@ class CompiledNetwork:
             region = local.get(seed)
             if region is None:
                 region_key = (mask_id, forced_sig, forced_t_sig, seed)
-                region = regions.get(region_key) if use_cache else None
+                region = regions.get(region_key)
                 if region is None:
                     region = self._explore_region(
                         comp, mask, forced, forced_sig, forced_t_sig, seed,
-                        self._interns[cid] if use_cache else None,
+                        self._interns[cid],
                     )
-                    if use_cache:
-                        for member in region.members:
-                            regions[
-                                (mask_id, forced_sig, forced_t_sig, member)
-                            ] = region
-                        self._entries += len(region.members)
-                        self._comp_entries[cid] += len(region.members)
+                    for member in region.members:
+                        regions[
+                            (mask_id, forced_sig, forced_t_sig, member)
+                        ] = region
+                    self._entries += len(region.members)
+                    self._comp_entries[cid] += len(region.members)
                 for member in region.members:
                     local[member] = region
             key = id(region)
@@ -757,30 +616,10 @@ class CompiledNetwork:
 
         results = []
         for region in ordered:
-            if use_cache:
-                solve_key = keys(
-                    region.key_nodes, region.key_pos,
-                    region.key_token, region.key_idx,
-                )
-                changes = region.solves.get(solve_key)
-                if changes is None:
-                    self.misses += 1
-                    changes = tuple(
-                        solve_vicinity(
-                            self.net,
-                            states,
-                            region.members,
-                            region.boundary,
-                            self._materialize(comp, region, gate_key),
-                            forced,
-                        )
-                    )
-                    region.solves[solve_key] = changes
-                    self._entries += 1
-                    self._comp_entries[cid] += 1
-                else:
-                    self.hits += 1
-            else:
+            solve_key = bytes(map(read, region.key_nodes))
+            changes = region.solves.get(solve_key)
+            if changes is None:
+                self.misses += 1
                 changes = tuple(
                     solve_vicinity(
                         self.net,
@@ -791,6 +630,11 @@ class CompiledNetwork:
                         forced,
                     )
                 )
+                region.solves[solve_key] = changes
+                self._entries += 1
+                self._comp_entries[cid] += 1
+            else:
+                self.hits += 1
             results.append(
                 (
                     region.members,
@@ -799,10 +643,9 @@ class CompiledNetwork:
                     region_seeds[id(region)],
                 )
             )
-        if call_key is not None:
-            self._calls[cid][call_key] = results
-            self._entries += 1
-            self._comp_entries[cid] += 1
+        calls[call_key] = results
+        self._entries += 1
+        self._comp_entries[cid] += 1
         return results
 
     def _conduction_mask(
@@ -817,28 +660,13 @@ class CompiledNetwork:
         and unknown conduction merge, so the X-rich configurations of
         faulty circuits share regions with the good circuit's.
         """
-        ts_kind_np = comp.ts_kind_np
-        if (
-            _np is not None
-            and ts_kind_np is not None
-            and len(comp.ts_kind) >= 8
-        ):
-            # Vectorized Table 1 lookup; pack LSB-first so bit i is
-            # transistor i of ``edge_ts``, matching the Python loop.
-            gk = _np.frombuffer(gate_key, dtype=_np.uint8)
-            conducting = _TRANS_NP[ts_kind_np, gk[comp.ts_gpos_np]]
-            mask = int.from_bytes(
-                _np.packbits(conducting != 0, bitorder="little").tobytes(),
-                "little",
-            )
-        else:
-            mask = 0
-            bit = 1
-            ts_gpos = comp.ts_gpos
-            for index, kind in enumerate(comp.ts_kind):
-                if TRANS_TABLE[kind][gate_key[ts_gpos[index]]]:
-                    mask |= bit
-                bit <<= 1
+        mask = 0
+        bit = 1
+        ts_gpos = comp.ts_gpos
+        for index, kind in enumerate(comp.ts_kind):
+            if TRANS_TABLE[kind][gate_key[ts_gpos[index]]]:
+                mask |= bit
+            bit <<= 1
         for t, state in forced_t_sig:
             bit = 1 << comp.ts_index[t]
             if state:
@@ -855,7 +683,7 @@ class CompiledNetwork:
         forced_sig: tuple,
         forced_t_sig: tuple,
         seed: int,
-        intern: dict | None,
+        intern: dict,
     ) -> Region:
         """Mask-filtered BFS from ``seed`` over the compiled arrays.
 
@@ -914,20 +742,19 @@ class CompiledNetwork:
         members.sort()
         inputs.sort()
         forced_boundary.sort()
-        if intern is not None:
-            # The BFS records every conducting edge it crossed --
-            # including the ones that stopped at inputs and forced
-            # nodes -- so (members, crossed edges, forced sigs) pins
-            # the whole structure.  Regions rediscovered under a
-            # different component-wide mask intern to the same object
-            # and inherit its warm ``solves`` memo.
-            ts_bits = 0
-            for ti in ts_seen:
-                ts_bits |= 1 << ti
-            struct_key = (tuple(members), ts_bits, forced_sig, forced_t_sig)
-            interned = intern.get(struct_key)
-            if interned is not None:
-                return interned
+        # The BFS records every conducting edge it crossed -- including
+        # the ones that stopped at inputs and forced nodes -- so
+        # (members, crossed edges, forced sigs) pins the whole
+        # structure.  Regions rediscovered under a different
+        # component-wide mask intern to the same object and inherit its
+        # warm ``solves`` memo.
+        ts_bits = 0
+        for ti in ts_seen:
+            ts_bits |= 1 << ti
+        struct_key = (tuple(members), ts_bits, forced_sig, forced_t_sig)
+        interned = intern.get(struct_key)
+        if interned is not None:
+            return interned
         ts_index = comp.ts_index
         region = Region(
             comp,
@@ -942,8 +769,7 @@ class CompiledNetwork:
                 if ts_index[t] in ts_seen
             },
         )
-        if intern is not None:
-            intern[struct_key] = region
+        intern[struct_key] = region
         return region
 
     def _materialize(

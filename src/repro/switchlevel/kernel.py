@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from ..errors import OscillationError, SimulationError
-from .compiled import compile_network, state_keys
+from .compiled import compile_network
 from .logic import X
 from .network import Network
 from .steady_state import solve_vicinity
@@ -147,7 +147,6 @@ def solve_round(
     locality: str = "dynamic",
     batch: bool = False,
     stats: SettleStats | None = None,
-    solve_cache: bool = True,
     forced_transistors: Mapping[int, int] | None = None,
     sig_cache: dict | None = None,
 ) -> list[VicinitySolution]:
@@ -165,7 +164,7 @@ def solve_round(
 
     The ``compiled`` locality replaces exploration entirely: seeds map
     to precompiled components in O(1) and each dirty component's solve
-    is memoized (``solve_cache``).  One solution is emitted per seeded
+    is memoized.  One solution is emitted per seeded
     *conducting subcomponent* -- the same granularity dynamic
     exploration produces -- in both batch and per-seed modes, so every
     caller gets what it needs from the one code path.
@@ -173,22 +172,15 @@ def solve_round(
     if locality == "compiled":
         compiled = compile_network(net)
         grouped = compiled.components_for_seeds(seeds)
-        # One cache-key builder for the whole round: states are stable
-        # within a round, so the (numpy) snapshot is shared by every
-        # dirty component's gate and solve keys.
-        keys = state_keys(states)
         solutions = []
         for cid in sorted(grouped):
             solved = compiled.solve_seeded(
                 compiled.components[cid],
                 states,
-                tstates,
                 grouped[cid],
                 forced,
                 forced_transistors,
-                use_cache=solve_cache,
                 sig_cache=sig_cache,
-                keys=keys,
             )
             for members, boundary, changes, sub_seeds in solved:
                 if stats is not None:
@@ -278,7 +270,6 @@ class SettleKernel:
         "locality",
         "max_rounds",
         "on_oscillation",
-        "solve_cache",
         "x_attempts",
     )
 
@@ -290,7 +281,6 @@ class SettleKernel:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         on_oscillation: str = "x",
         x_attempts: int = DEFAULT_X_ATTEMPTS,
-        solve_cache: bool = True,
     ):
         if locality not in LOCALITIES:
             raise SimulationError(f"unknown locality mode: {locality!r}")
@@ -303,7 +293,6 @@ class SettleKernel:
         self.max_rounds = max_rounds
         self.on_oscillation = on_oscillation
         self.x_attempts = x_attempts
-        self.solve_cache = solve_cache
         if locality == "compiled":
             # Compile eagerly: configuration errors (unfinalized nets)
             # surface at construction, not mid-settle.
@@ -330,7 +319,6 @@ class SettleKernel:
             locality=self.locality,
             batch=batch,
             stats=stats,
-            solve_cache=self.solve_cache,
             forced_transistors=getattr(circuit, "forced_transistors", None),
             sig_cache=getattr(circuit, "compiled_sig_cache", None),
         )

@@ -23,8 +23,7 @@ The engine also supports per-circuit overrides used for fault simulation:
 ``locality`` selects dynamic vicinities (the paper's algorithm), static
 DC-connected components (the pre-MOSSIM-II baseline, kept as an ablation)
 or ``compiled`` -- precompiled channel-connected components with a
-memoized solve cache (see :mod:`repro.switchlevel.compiled`), toggled by
-``solve_cache``.
+memoized solve cache (see :mod:`repro.switchlevel.compiled`).
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ class Engine:
         locality: str = "dynamic",
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         on_oscillation: str = "x",
-        solve_cache: bool = True,
     ):
         net.require_finalized()
         self.kernel = SettleKernel(
@@ -70,11 +68,9 @@ class Engine:
             locality=locality,
             max_rounds=max_rounds,
             on_oscillation=on_oscillation,
-            solve_cache=solve_cache,
         )
         self.net = net
         self.locality = locality
-        self.solve_cache = solve_cache
         self.max_rounds = max_rounds
         self.on_oscillation = on_oscillation
         self.forced_nodes: dict[int, int] = dict(forced_nodes or {})

@@ -46,7 +46,6 @@ class Simulator:
         locality: str = "dynamic",
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         on_oscillation: str = "x",
-        solve_cache: bool = True,
         drive_rails: bool = True,
     ):
         self.net = net
@@ -57,7 +56,6 @@ class Simulator:
             locality=locality,
             max_rounds=max_rounds,
             on_oscillation=on_oscillation,
-            solve_cache=solve_cache,
         )
         self._observed_oscillation = False
         if drive_rails:

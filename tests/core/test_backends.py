@@ -235,19 +235,14 @@ class TestThreeWayParity:
             assert report.solve_cache is not None
             assert report.solve_cache["hits"] > 0
 
-    def test_compiled_without_cache_matches(self, ram_case):
-        net, faults, observed, patterns = ram_case
-        baseline = first_detections(
-            run_backend("serial", net, faults, observed, patterns),
-            len(faults),
-        )
-        report = run_backend(
-            "concurrent", net, faults, observed, patterns,
-            locality="compiled", solve_cache=False,
-        )
-        assert first_detections(report, len(faults)) == baseline
-        assert report.solve_cache is not None
-        assert report.solve_cache["hits"] == 0
+    def test_solve_cache_option_rejected_by_registry(self):
+        # The compiled solve cache is always on: ``solve_cache`` is an
+        # unknown option on every backend, with the registry's error.
+        for backend in ("serial", "concurrent", "batch"):
+            with pytest.raises(SimulationError, match="solve_cache"):
+                get_backend(backend, solve_cache=False)
+        with pytest.raises(SimulationError, match="solve_cache"):
+            get_backend("sharded", inner_backend="serial", solve_cache=False)
 
     def test_sharded_forwards_locality_to_inner(self, ram_case):
         net, faults, observed, patterns = ram_case
@@ -303,18 +298,28 @@ class TestBatchMechanics:
         assert simulator.lanes.lane_count == len(faults)
         assert simulator.live_circuits == set(range(1, len(faults) + 1))
 
-    @pytest.mark.parametrize("locality", ["dynamic", "compiled"])
-    def test_plane_wider_than_64_lanes(self, locality, monkeypatch):
+    @pytest.mark.parametrize(
+        "locality, n_faults",
+        [
+            pytest.param("dynamic", 120, id="dynamic"),
+            pytest.param("compiled", 120, id="compiled"),
+            pytest.param("compiled", 48, id="compiled-within-64"),
+        ],
+    )
+    def test_plane_wider_than_64_lanes(
+        self, locality, n_faults, monkeypatch
+    ):
         # More lanes than a machine word: compaction repacks from above
-        # 64 lanes, and under the compiled locality the solve memo takes
-        # _repack_memo's pure-Python branch.
+        # 64 lanes, and under the compiled locality the solve memo is
+        # repacked with the planes.  The within-64 case covers the
+        # narrow planes a compiled batch job usually runs.
         from repro.core.faults import ram_fault_universe, sample_faults
         from repro.switchlevel.bitplane import LaneSimulator
 
         ram = build_ram(4, 4)
         patterns = list(sequence1(ram).patterns)
         net, observed = ram.net, [ram.dout]
-        faults = sample_faults(ram_fault_universe(ram), 120, seed=3)
+        faults = sample_faults(ram_fault_universe(ram), n_faults, seed=3)
         compactions = []
         memo_repacks = []
         compact = LaneSimulator.compact
@@ -339,10 +344,13 @@ class TestBatchMechanics:
         assert first_detections(report, len(faults)) == first_detections(
             serial, len(faults)
         )
-        assert any(width > 64 for width, _kept in compactions), compactions
+        wide = n_faults > 64
+        assert any(
+            (width > 64) == wide for width, _kept in compactions
+        ), compactions
         if locality == "compiled":
             assert any(
-                width > 64 and entries
+                (width > 64) == wide and entries
                 for width, entries in memo_repacks
             ), memo_repacks
 

@@ -283,6 +283,26 @@ class TestErrors:
         assert payload["kind"] in ("simulation", "network")
         assert pool.has_idle()
 
+    def test_solve_cache_option_is_unknown(self, pool):
+        # The compiled solve cache has no switch: a job naming one gets
+        # the registry's typed invalid-options error.
+        job = make_job()
+        bad = JobSpec(
+            netlist=job.netlist,
+            observed=job.observed,
+            faults=job.faults,
+            patterns=job.patterns,
+            policy=job.policy,
+            options={"solve_cache": False},
+        )
+        pool.submit("bad-2", bad)
+        events = drain_job(pool, "bad-2")
+        kind, payload = events["terminal"]
+        assert kind == "error"
+        assert payload["kind"] == "simulation"
+        assert "solve_cache" in payload["message"]
+        assert pool.has_idle()
+
     def test_submit_to_busy_pool_rejected(self, pool):
         job = make_job(rows=4, cols=4, n_faults=16)
         pool.submit("busy-1", job)

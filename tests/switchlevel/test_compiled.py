@@ -138,8 +138,8 @@ class TestPartition:
 
 
 class TestSolveCache:
-    def _settled_engine(self, net, **kwargs):
-        engine = Engine(net, locality="compiled", **kwargs)
+    def _settled_engine(self, net):
+        engine = Engine(net, locality="compiled")
         for name, state in (("vdd", 1), ("gnd", 0)):
             engine.drive(net.node(name), state)
         engine.settle()
@@ -165,17 +165,6 @@ class TestSolveCache:
             engine.drive(net.node("a"), value)
             engine.settle()
             assert engine.states[out] == expected
-
-    def test_solve_cache_disabled(self):
-        net = inverter_net()
-        engine = self._settled_engine(net, solve_cache=False)
-        for value in (0, 1, 0, 1):
-            engine.drive(net.node("a"), value)
-            engine.settle()
-        stats = cache_stats(net)
-        assert stats["hits"] == 0
-        assert stats["misses"] == 0
-        assert stats["entries"] == 0
 
     def test_cache_shared_across_engines(self):
         # The cache lives on the (compiled) network, so a second engine

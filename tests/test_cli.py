@@ -135,7 +135,7 @@ class TestFaultsim:
         code = main(
             ["faultsim", netlist_path, "--observe", "out",
              "--patterns", str(patterns), "--backend", "batch",
-             "--locality", "compiled", "--no-solve-cache"]
+             "--locality", "compiled"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -166,18 +166,6 @@ class TestFaultsim:
         out = capsys.readouterr().out
         assert code == 0
         assert "solve cache:" in out
-
-    def test_no_solve_cache_flag(self, netlist_path, tmp_path, capsys):
-        patterns = tmp_path / "pats.txt"
-        patterns.write_text("a=0\n\na=1\n")
-        code = main(
-            ["faultsim", netlist_path, "--observe", "out",
-             "--patterns", str(patterns), "--locality", "compiled",
-             "--no-solve-cache"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "0 hits" in out
 
     def test_profile_prints_to_stderr(self, netlist_path, tmp_path, capsys):
         patterns = tmp_path / "pats.txt"
