@@ -40,9 +40,10 @@ The work gates follow from two facts: a statically pruned fault is
 never detected (``tests/analysis/test_static_props.py``), and the
 parity check above shows the kept faults behave identically on both
 legs.  So the serial baseline replays every pruned fault through every
-pattern -- its circuit-patterns (the sum of
-``FaultRecord.patterns_simulated``) exceed the pruned leg's by exactly
-``pruned * n_patterns`` -- and on batch, where lanes are independent
+pattern -- its circuit-patterns (per fault of the simulator's own
+report, the first detection's pattern + 1, or every pattern when
+undetected) exceed the pruned leg's by exactly ``pruned * n_patterns``
+-- and on batch, where lanes are independent
 circuits, a pruned fault's lane stays live through every baseline lane
 round, so the active-lane rounds (the sum of live lanes over rounds)
 drop by at least ``pruned * baseline rounds``.  The floor compares
@@ -96,8 +97,9 @@ def _first_detections(report):
 def _count_work(monkeypatch) -> Counter:
     """Tally counted work into the returned counter from now on.
 
-    ``circuit_patterns``: per serial run, the sum of every fault's
-    ``patterns_simulated``.  Per batch lane round: ``lane_rounds`` (one
+    ``circuit_patterns``: per serial simulator run, the patterns each
+    simulated fault ran through -- up to its first detection, or the
+    whole sequence when undetected.  Per batch lane round: ``lane_rounds`` (one
     each), ``active_lane_rounds`` (the lanes still live) and
     ``plane_width_rounds`` (the plane's lane count).
     """
@@ -107,9 +109,10 @@ def _count_work(monkeypatch) -> Counter:
 
     def counted_run(simulator, *args, **kwargs):
         report = serial_run(simulator, *args, **kwargs)
-        work["circuit_patterns"] += sum(
-            record.patterns_simulated for record in report.faults
-        )
+        for detected in _first_detections(report).values():
+            work["circuit_patterns"] += (
+                report.n_patterns if detected is None else detected[0] + 1
+            )
         return report
 
     def counted_round(lanes):

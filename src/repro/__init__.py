@@ -10,8 +10,11 @@ Quick tour
 * Logic-simulate the fault-free circuit with
   :class:`repro.switchlevel.Simulator`.
 * Enumerate faults with :mod:`repro.core.faults` and fault-simulate with
-  :class:`repro.core.ConcurrentFaultSimulator` (the paper's algorithm) or
-  :class:`repro.core.SerialFaultSimulator` (the baseline).
+  :class:`repro.core.ConcurrentFaultSimulator` (the paper's algorithm),
+  :class:`repro.core.SerialFaultSimulator` (the baseline) or
+  :class:`repro.core.BatchFaultSimulator`; every one returns a
+  :class:`repro.core.RunReport`.  :func:`repro.core.run_backend` picks
+  a strategy by name and adds fault collapsing and static pruning.
 * Regenerate the paper's figures with :mod:`repro.harness.experiments`.
 """
 

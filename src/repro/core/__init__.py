@@ -27,7 +27,7 @@ from .faults import (
 )
 from .goodtrace import GoodTrace, record_good_trace
 from .inject import Instrumented, PreparedFault, needs_rewrite, prepare
-from .report import FaultRecord, PatternRecord, RunReport, SerialRunReport
+from .report import PatternRecord, RunReport
 from .serial import SerialFaultSimulator, estimate_serial_seconds
 from .shard import ShardedBackend, cost_blocks, resolve_jobs
 from .statelist import StateList
@@ -69,7 +69,5 @@ __all__ = [
     "POLICY_HARD",
     "POLICY_ANY",
     "RunReport",
-    "SerialRunReport",
     "PatternRecord",
-    "FaultRecord",
 ]

@@ -31,10 +31,11 @@ Registered backends:
     into contiguous shards, each simulated by an inner backend in its
     own worker process (:class:`~repro.core.shard.ShardedBackend`).
 
-The single-process strategies run on the shared settle kernel
-(:mod:`repro.switchlevel.kernel`) and are held to byte-identical
-detections and final states by the cross-backend parity suite
-(``tests/core/test_backends.py``).
+The single-process strategies are one adapter over their simulator
+classes (which share :mod:`repro.core.strategy`), run on the shared
+settle kernel (:mod:`repro.switchlevel.kernel`) and are held to
+byte-identical detections and final states by the cross-backend parity
+suite (``tests/core/test_backends.py``).
 
 Third-party strategies register with the :func:`register_backend`
 decorator::
@@ -55,20 +56,16 @@ from typing import Any, Callable, ClassVar, Iterable, Sequence, Type
 
 from ..errors import SimulationError
 from ..patterns.clocking import TestPattern
-from ..switchlevel.compiled import cache_stats
-from ..switchlevel.kernel import DEFAULT_MAX_ROUNDS, LOCALITIES
+from ..switchlevel.kernel import DEFAULT_MAX_ROUNDS
 from ..switchlevel.network import Network
 from .batch import BatchFaultSimulator
 from .concurrent import ConcurrentFaultSimulator
-from .detection import POLICIES, POLICY_HARD, Detection, DetectionLog
+from .detection import POLICY_HARD, Detection, DetectionLog
 from .faults import Fault, collapse_faults
 from .goodtrace import GoodTrace
-from .report import PatternRecord, RunReport
-from .serial import SerialFaultSimulator, serial_run_report
-
-#: Per-pattern streaming callback: called with the pattern record
-#: and the detections that pattern produced.
-ProgressCallback = Callable[[PatternRecord, list[Detection]], None]
+from .report import PatternRecord, RunReport, solve_cache_stats
+from .serial import SerialFaultSimulator
+from .strategy import ProgressCallback, check_settings
 
 __all__ = [
     "CollapsePlan",
@@ -97,10 +94,7 @@ class SimPolicy:
     clock: str = "process"
 
     def __post_init__(self) -> None:
-        if self.detection_policy not in POLICIES:
-            raise SimulationError(
-                f"unknown detection policy {self.detection_policy!r}"
-            )
+        check_settings(detection_policy=self.detection_policy)
         if self.clock not in ("process", "perf"):
             raise SimulationError(f"unknown clock {self.clock!r}")
 
@@ -258,10 +252,9 @@ class CollapsePlan:
         self.faults: tuple[Fault, ...] = tuple(fault_list)
         self.n_universe = len(fault_list)
         self.static = None
-        #: kept-space circuit id (1-based) -> original circuit id, when
-        #: static pruning removed anything; ``None`` when inert.
-        self._origin: tuple[int, ...] | None = None
-        kept = fault_list
+        self.collapsed = None
+        #: Universe circuit id of each fault left after static pruning.
+        kept_ids: Sequence[int] = range(1, len(fault_list) + 1)
         if static_prune and fault_list:
             # Deferred import: repro.analysis pulls in the harness,
             # which imports this module back at startup.
@@ -270,52 +263,46 @@ class CollapsePlan:
             classification = classify_faults(net, fault_list, observed)
             if classification.pruned:
                 self.static = classification
-                self._origin = classification.kept
-                kept = [fault_list[gid - 1] for gid in classification.kept]
-        self.collapsed = None
-        self._members: dict[int, tuple[int, ...]] | None = None
-        self.run_faults: Sequence[Fault] = kept
-        if enabled and kept:
-            collapsed = collapse_faults(net, kept, observed)
+                kept_ids = classification.kept
+        self.run_faults: Sequence[Fault] = [
+            fault_list[gid - 1] for gid in kept_ids
+        ]
+        #: Representative circuit id (1-based position in
+        #: ``run_faults``) -> the universe circuit ids it stands for;
+        #: key 0, when present, holds the faults equivalent to the good
+        #: circuit (never simulated, never detected).
+        self.members: dict[int, tuple[int, ...]] = {
+            rep: (gid,) for rep, gid in enumerate(kept_ids, 1)
+        }
+        if enabled and self.run_faults:
+            collapsed = collapse_faults(net, self.run_faults, observed)
             if collapsed.collapsed:
                 self.collapsed = collapsed
                 self.run_faults = list(collapsed.representatives)
-                #: representative circuit id (1-based position in
-                #: ``run_faults``) -> kept-space member circuit ids.
-                self._members = {
-                    rep + 1: members
-                    for rep, members in enumerate(collapsed.classes)
+                classes = dict(enumerate(collapsed.classes, 1))
+                if collapsed.null_members:
+                    classes[0] = collapsed.null_members
+                self.members = {
+                    rep: tuple(kept_ids[m - 1] for m in positions)
+                    for rep, positions in classes.items()
                 }
 
     @property
     def active(self) -> bool:
         return self.collapsed is not None or self.static is not None
 
-    def _to_universe(self, kept_id: int) -> int:
-        """Map a kept-space circuit id back to the original universe."""
-        if self._origin is None:
-            return kept_id
-        return self._origin[kept_id - 1]
-
     def _expand(self, detections: Iterable[Detection]) -> list[Detection]:
-        """Clone representative detections to every class member and
-        restore original circuit ids."""
-        expanded = []
-        for detection in detections:
-            members = (
-                self._members[detection.circuit_id]
-                if self._members is not None
-                else (detection.circuit_id,)
+        """Clone representative detections to every class member, under
+        the members' universe circuit ids."""
+        expanded = [
+            replace(
+                detection,
+                circuit_id=gid,
+                description=self.faults[gid - 1].describe(),
             )
-            for member in members:
-                gid = self._to_universe(member)
-                expanded.append(
-                    replace(
-                        detection,
-                        circuit_id=gid,
-                        description=self.faults[gid - 1].describe(),
-                    )
-                )
+            for detection in detections
+            for gid in self.members[detection.circuit_id]
+        ]
         expanded.sort(
             key=lambda d: (d.pattern_index, d.phase_index, d.circuit_id)
         )
@@ -364,24 +351,16 @@ class CollapsePlan:
             log.record(detection)
         report.log = log
         report.n_faults = self.n_universe
-        cumulative = log.cumulative_by_pattern(len(report.patterns))
-        previous = 0
-        for record, total in zip(report.patterns, cumulative):
-            record.detections = total - previous
-            previous = total
-            record.live_after = (
-                report.n_faults - total if drop_on_detect else report.n_faults
-            )
+        report.recount(drop_on_detect)
         if self.collapsed is not None:
-            stats = self.collapsed.stats()
-            if self._origin is not None:
-                # The collapse ran over the kept subset; translate its
-                # expansion map back to original circuit ids.
-                stats["expansion"] = {
-                    key: [self._to_universe(m) for m in members]
-                    for key, members in stats["expansion"].items()
-                }
-            report.collapse = stats
+            report.collapse = {
+                **self.collapsed.stats(),
+                "expansion": {
+                    str(rep): list(gids)
+                    for rep, gids in self.members.items()
+                    if rep == 0 or len(gids) > 1
+                },
+            }
         if self.static is not None:
             report.static_pruned = self.static.stats()
         return report
@@ -392,38 +371,103 @@ class CollapsePlan:
 # ---------------------------------------------------------------------------
 
 
-def _validate_locality(locality: str) -> str:
-    """Reject unknown locality modes at backend-configuration time."""
-    if locality not in LOCALITIES:
-        raise SimulationError(
-            f"unknown locality mode {locality!r}; expected one of "
-            + ", ".join(LOCALITIES)
+class _SimulatorBackend(FaultSimBackend):
+    """A single-process strategy: one :class:`~repro.core.strategy.
+    FaultSimulator` class behind the registry contract.
+
+    :meth:`run` shrinks the universe (:class:`CollapsePlan`), simulates
+    what is left, reads the simulator's solve-cache counters around the
+    run and expands the report back over the full universe.
+    """
+
+    #: The :class:`~repro.core.strategy.FaultSimulator` subclass this
+    #: backend runs.
+    simulator: ClassVar[Callable[..., Any]]
+
+    def __init__(
+        self,
+        locality: str,
+        collapse: bool,
+        static_prune: bool,
+        **simulator_options: Any,
+    ):
+        check_settings(locality)
+        self.locality = locality
+        self.collapse = collapse
+        self.static_prune = static_prune
+        self.simulator_options = simulator_options
+
+    def run(
+        self,
+        net: Network,
+        faults: Sequence[Fault],
+        observed: Sequence[str],
+        patterns: Iterable[TestPattern],
+        policy: SimPolicy = DEFAULT_POLICY,
+    ) -> RunReport:
+        return self._run(net, faults, observed, patterns, policy, None)
+
+    def _run(
+        self,
+        net: Network,
+        faults: Sequence[Fault],
+        observed: Sequence[str],
+        patterns: Iterable[TestPattern],
+        policy: SimPolicy,
+        progress: ProgressCallback | None,
+    ) -> RunReport:
+        plan = CollapsePlan(
+            net, faults, observed, self.collapse,
+            static_prune=self.static_prune,
         )
-    return locality
+        simulator = self.simulator(
+            net,
+            plan.run_faults,
+            observed,
+            detection_policy=policy.detection_policy,
+            drop_on_detect=policy.drop_on_detect,
+            max_rounds=policy.max_rounds,
+            locality=self.locality,
+            **self.simulator_options,
+        )
+        run_options: dict[str, Any] = {"clock": policy.clock}
+        if progress is not None:
+            run_options["progress"] = plan.wrap_progress(
+                progress, policy.drop_on_detect
+            )
+        hits, misses = simulator.solve_cache_counts()
+        report = simulator.run(patterns, **run_options)
+        if self.locality == "compiled":
+            hits_after, misses_after = simulator.solve_cache_counts()
+            report.solve_cache = solve_cache_stats(
+                hits_after - hits, misses_after - misses
+            )
+        return plan.finish(report, policy.drop_on_detect)
 
 
-def _cache_delta(net: Network, before: dict | None) -> dict | None:
-    """Per-run solve-cache counters: current stats minus ``before``."""
-    after = cache_stats(net)
-    if after is None:
-        return None
-    hits = after["hits"] - (before["hits"] if before else 0)
-    misses = after["misses"] - (before["misses"] if before else 0)
-    lookups = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": hits / lookups if lookups else 0.0,
-        "entries": after["entries"],
-        "components": after["components"],
-    }
+class _StreamingBackend(_SimulatorBackend):
+    """A strategy that walks the patterns in order, so its :meth:`run`
+    takes the per-pattern ``progress`` callback."""
+
+    def run(
+        self,
+        net: Network,
+        faults: Sequence[Fault],
+        observed: Sequence[str],
+        patterns: Iterable[TestPattern],
+        policy: SimPolicy = DEFAULT_POLICY,
+        *,
+        progress: ProgressCallback | None = None,
+    ) -> RunReport:
+        return self._run(net, faults, observed, patterns, policy, progress)
 
 
 @register_backend
-class SerialBackend(FaultSimBackend):
+class SerialBackend(_SimulatorBackend):
     """Every faulty circuit simulated individually (the baseline)."""
 
     name = "serial"
+    simulator = SerialFaultSimulator
 
     def __init__(
         self,
@@ -433,55 +477,17 @@ class SerialBackend(FaultSimBackend):
         static_prune: bool = True,
         good_trace: GoodTrace | None = None,
     ):
-        self.locality = _validate_locality(locality)
-        self.collapse = collapse
-        self.trim = trim
-        self.static_prune = static_prune
-        self.good_trace = good_trace
-
-    def run(
-        self,
-        net: Network,
-        faults: Sequence[Fault],
-        observed: Sequence[str],
-        patterns: Iterable[TestPattern],
-        policy: SimPolicy = DEFAULT_POLICY,
-    ) -> RunReport:
-        pattern_list = list(patterns)
-        plan = CollapsePlan(
-            net, faults, observed, self.collapse,
-            static_prune=self.static_prune,
+        super().__init__(
+            locality, collapse, static_prune, trim=trim, good_trace=good_trace
         )
-        simulator = SerialFaultSimulator(
-            net,
-            plan.run_faults,
-            observed,
-            detection_policy=policy.detection_policy,
-            drop_on_detect=policy.drop_on_detect,
-            max_rounds=policy.max_rounds,
-            locality=self.locality,
-            trim=self.trim,
-            good_trace=self.good_trace,
-        )
-        before = cache_stats(simulator.network)
-        serial_report = simulator.run(pattern_list, clock=policy.clock)
-        report = serial_run_report(
-            serial_report,
-            pattern_list,
-            drop_on_detect=policy.drop_on_detect,
-        )
-        report.oscillation_events = simulator.oscillation_events
-        report.good_settles = simulator.good_settles
-        if self.locality == "compiled":
-            report.solve_cache = _cache_delta(simulator.network, before)
-        return plan.finish(report, policy.drop_on_detect)
 
 
 @register_backend
-class ConcurrentBackend(FaultSimBackend):
+class ConcurrentBackend(_StreamingBackend):
     """The paper's algorithm: good circuit + divergence records."""
 
     name = "concurrent"
+    simulator = ConcurrentFaultSimulator
 
     def __init__(
         self,
@@ -491,53 +497,17 @@ class ConcurrentBackend(FaultSimBackend):
         static_prune: bool = True,
         good_trace: GoodTrace | None = None,
     ):
-        self.locality = _validate_locality(locality)
-        self.collapse = collapse
-        self.trim = trim
-        self.static_prune = static_prune
-        self.good_trace = good_trace
-
-    def run(
-        self,
-        net: Network,
-        faults: Sequence[Fault],
-        observed: Sequence[str],
-        patterns: Iterable[TestPattern],
-        policy: SimPolicy = DEFAULT_POLICY,
-        *,
-        progress: ProgressCallback | None = None,
-    ) -> RunReport:
-        plan = CollapsePlan(
-            net, faults, observed, self.collapse,
-            static_prune=self.static_prune,
+        super().__init__(
+            locality, collapse, static_prune, trim=trim, good_trace=good_trace
         )
-        simulator = ConcurrentFaultSimulator(
-            net,
-            plan.run_faults,
-            observed,
-            detection_policy=policy.detection_policy,
-            drop_on_detect=policy.drop_on_detect,
-            max_rounds=policy.max_rounds,
-            locality=self.locality,
-            trim=self.trim,
-            good_trace=self.good_trace,
-        )
-        before = cache_stats(simulator.network)
-        report = simulator.run(
-            patterns,
-            clock=policy.clock,
-            progress=plan.wrap_progress(progress, policy.drop_on_detect),
-        )
-        if self.locality == "compiled":
-            report.solve_cache = _cache_delta(simulator.network, before)
-        return plan.finish(report, policy.drop_on_detect)
 
 
 @register_backend
-class BatchBackend(FaultSimBackend):
+class BatchBackend(_StreamingBackend):
     """Bit-parallel lockstep simulation, every circuit in one pass."""
 
     name = "batch"
+    simulator = BatchFaultSimulator
 
     def __init__(
         self,
@@ -546,58 +516,9 @@ class BatchBackend(FaultSimBackend):
         static_prune: bool = True,
         good_trace: GoodTrace | None = None,
     ):
-        self.locality = _validate_locality(locality)
-        self.collapse = collapse
-        self.static_prune = static_prune
-        self.good_trace = good_trace
-
-    def run(
-        self,
-        net: Network,
-        faults: Sequence[Fault],
-        observed: Sequence[str],
-        patterns: Iterable[TestPattern],
-        policy: SimPolicy = DEFAULT_POLICY,
-        *,
-        progress: ProgressCallback | None = None,
-    ) -> RunReport:
-        plan = CollapsePlan(
-            net, faults, observed, self.collapse,
-            static_prune=self.static_prune,
+        super().__init__(
+            locality, collapse, static_prune, good_trace=good_trace
         )
-        simulator = BatchFaultSimulator(
-            net,
-            plan.run_faults,
-            observed,
-            detection_policy=policy.detection_policy,
-            drop_on_detect=policy.drop_on_detect,
-            max_rounds=policy.max_rounds,
-            locality=self.locality,
-            good_trace=self.good_trace,
-        )
-        before = cache_stats(simulator.network)
-        lanes = simulator.lanes
-        hits_before, misses_before = lanes.cache_hits, lanes.cache_misses
-        report = simulator.run(
-            patterns,
-            clock=policy.clock,
-            progress=plan.wrap_progress(progress, policy.drop_on_detect),
-        )
-        if self.locality == "compiled":
-            # One pool: the scalar good engine's network-level cache
-            # plus the plane's lane cache.
-            scalar = _cache_delta(simulator.network, before) or {}
-            hits = scalar.get("hits", 0) + lanes.cache_hits - hits_before
-            misses = (
-                scalar.get("misses", 0) + lanes.cache_misses - misses_before
-            )
-            lookups = hits + misses
-            report.solve_cache = {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / lookups if lookups else 0.0,
-            }
-        return plan.finish(report, policy.drop_on_detect)
 
 
 # Imported last: shard.py needs the registry above at import time, and

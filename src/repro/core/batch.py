@@ -34,24 +34,22 @@ property-tested in ``tests/core/test_backends.py``.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import FaultError, SimulationError
 from ..patterns.clocking import TestPattern
 from ..switchlevel.bitplane import LaneSimulator
 from ..switchlevel.compiled import compile_network
-from ..switchlevel.kernel import DEFAULT_MAX_ROUNDS, LOCALITIES, SettleStats
+from ..switchlevel.kernel import DEFAULT_MAX_ROUNDS, SettleStats
 from ..switchlevel.logic import STATES
-from ..switchlevel.network import GND_NAME, VDD_NAME, Network
+from ..switchlevel.network import Network, rail_settings
 from ..switchlevel.scheduler import Engine
-from .detection import POLICIES, POLICY_HARD, Detection, DetectionLog
+from .detection import POLICY_HARD, Detection, DetectionLog
 from .faults import Fault
 from .goodtrace import GoodTrace
-from .inject import CLOSED_STATE, Instrumented, PreparedFault, prepare
-from .report import PatternRecord, RunReport
-
-ProgressCallback = Callable[[PatternRecord, list[Detection]], None]
+from .inject import CLOSED_STATE, PreparedFault, prepare
+from .report import RunReport
+from .strategy import FaultSimulator, ProgressCallback, run_patterns
 
 #: Compaction threshold: repack once at most this fraction is alive.
 _COMPACT_FRACTION = 0.5
@@ -61,7 +59,7 @@ _COMPACT_FRACTION = 0.5
 _COMPACT_MIN_WIDTH = 8
 
 
-class BatchFaultSimulator:
+class BatchFaultSimulator(FaultSimulator):
     """Bit-parallel fault simulation of one network under a fault list.
 
     The constructor mirrors :class:`~repro.core.concurrent.
@@ -83,19 +81,12 @@ class BatchFaultSimulator:
         locality: str = "dynamic",
         good_trace: GoodTrace | None = None,
     ):
-        if detection_policy not in POLICIES:
-            raise SimulationError(
-                f"unknown detection policy {detection_policy!r}"
-            )
-        if locality not in LOCALITIES:
-            raise SimulationError(f"unknown locality mode: {locality!r}")
-        instrumented: Instrumented = prepare(net, list(faults))
-        self.network = instrumented.net
-        self.good_forced_transistors = instrumented.good_forced_transistors
-        self.detection_policy = detection_policy
-        self.drop_on_detect = drop_on_detect
-        self.max_rounds = max_rounds
-        self.locality = locality
+        instrumented = prepare(net, list(faults))
+        super().__init__(
+            instrumented, observed, detection_policy=detection_policy,
+            drop_on_detect=drop_on_detect, max_rounds=max_rounds,
+            locality=locality, good_trace=good_trace,
+        )
         #: Under the compiled locality the lanes select dirty components
         #: from this partition (with a lane-aware solve cache of their own);
         #: the scalar good engine shares the network-level cache.  The
@@ -104,18 +95,11 @@ class BatchFaultSimulator:
         self.compiled = (
             compile_network(self.network) if locality == "compiled" else None
         )
-        self.oscillation_events = 0
-        if not observed:
-            raise SimulationError("at least one observed node is required")
-        self.observed = [self.network.node(name) for name in observed]
 
-        #: A precomputed good run (see :mod:`repro.core.goodtrace`):
-        #: detection compares lanes against its recorded observed
-        #: responses and the scalar good engine is never built, so the
-        #: good circuit is settled zero times here.
-        self.good_trace = good_trace
-        #: How many good-circuit settles this simulator performs over
-        #: its lifetime (0 when consuming a trace, 1 otherwise).
+        #: Good-circuit settles over this simulator's lifetime: 0 when
+        #: consuming :attr:`good_trace` (detection then compares lanes
+        #: against its recorded responses and the scalar good engine is
+        #: never built), 1 otherwise.
         self.good_settles = 0 if good_trace is not None else 1
         self.good: Engine | None = None
         if good_trace is not None:
@@ -128,12 +112,8 @@ class BatchFaultSimulator:
                 max_rounds=max_rounds,
                 locality=locality,
             )
-            net_ = self.network
-            for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
-                if name in net_.node_index:
-                    node = net_.node_index[name]
-                    if net_.node_is_input[node]:
-                        self.good.drive(node, state)
+            for name, state in rail_settings(self.network).items():
+                self.good.drive(self.network.node(name), state)
             self.good.settle()
 
         prepared = list(instrumented.prepared)
@@ -161,54 +141,33 @@ class BatchFaultSimulator:
         clock: str = "process",
         progress: ProgressCallback | None = None,
     ) -> RunReport:
-        """Simulate a pattern sequence; returns the measurement report.
-
-        ``progress``, if given, is called after every pattern with
-        ``(record, detections)``; see
-        :meth:`repro.core.concurrent.ConcurrentFaultSimulator.run`.
-        """
-        timer = time.process_time if clock == "process" else time.perf_counter
-        report = RunReport(n_faults=self.n_faults, backend="batch")
-        start_total = timer()
-        for pattern in patterns:
-            detected_before = len(self.log.detected_circuits())
-            events_before = len(self.log.detections)
-            start = timer()
-            self.apply_pattern(pattern)
-            elapsed = timer() - start
-            record = PatternRecord(
-                index=self._pattern_index - 1,
-                label=pattern.label,
-                seconds=elapsed,
-                detections=(
-                    len(self.log.detected_circuits()) - detected_before
-                ),
-                live_after=len(self.live),
-            )
-            report.patterns.append(record)
-            if progress is not None:
-                progress(record, tuple(self.log.detections[events_before:]))
-        report.total_seconds = timer() - start_total
-        report.log = self.log
-        report.oscillation_events = self.oscillation_events + (
-            self.good.oscillation_events if self.good is not None else 0
+        """Simulate a pattern sequence; returns the measurement report
+        (``clock`` and ``progress`` as in
+        :func:`~repro.core.strategy.run_patterns`)."""
+        report = run_patterns(
+            self,
+            patterns,
+            RunReport(n_faults=self.n_faults, backend="batch"),
+            clock,
+            progress,
         )
-        report.good_settles = self.good_settles
+        if self.good is not None:
+            report.oscillation_events += self.good.oscillation_events
         return report
+
+    def solve_cache_counts(self) -> tuple[int, int]:
+        """The scalar good engine's network-level cache plus the
+        plane's lane cache: one pool."""
+        hits, misses = super().solve_cache_counts()
+        return (
+            hits + self.lanes.cache_hits,
+            misses + self.lanes.cache_misses,
+        )
 
     def apply_pattern(self, pattern: TestPattern) -> None:
         """Simulate one pattern (all its phases, with observations)."""
-        trace = self.good_trace
-        if trace is not None:
-            if self._pattern_index >= len(trace.observed):
-                raise SimulationError(
-                    "good trace exhausted: more patterns than recorded"
-                )
-            if trace.pattern_labels[self._pattern_index] != pattern.label:
-                raise SimulationError(
-                    "good trace was recorded for a different pattern "
-                    "sequence"
-                )
+        if self.good_trace is not None:
+            self.good_trace.check_pattern(self._pattern_index, pattern)
         self._observation_index = 0
         for phase_index, phase in enumerate(pattern.phases):
             self._phase_index = phase_index
@@ -311,11 +270,8 @@ class BatchFaultSimulator:
             t_force_off={t: m for t, m in t_off.items() if m},
             compiled=self.compiled,
         )
-        for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
-            if name in net.node_index:
-                node = net.node_index[name]
-                if net.node_is_input[node]:
-                    lanes.drive(node, state)
+        for name, state in rail_settings(net).items():
+            lanes.drive(net.node(name), state)
         for index, pf in enumerate(pfs):
             bit = 1 << index
             for seed in pf.seeds:

@@ -69,36 +69,27 @@ fault dropping, responsible for the cheap Figure-1 "tail").
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import FaultError, SimulationError
 from ..patterns.clocking import TestPattern
 from ..switchlevel.compiled import compile_network
 from ..switchlevel.kernel import (
     DEFAULT_MAX_ROUNDS,
-    LOCALITIES,
     SettleKernel,
     SettleStats,
     VicinitySolution,
 )
 from ..switchlevel.logic import STATES
-from ..switchlevel.network import GND_NAME, TRANS_TABLE, VDD_NAME, Network
+from ..switchlevel.network import TRANS_TABLE, Network, rail_settings
 from ..switchlevel.vicinity import expand_seed
-from .detection import (
-    POLICIES,
-    POLICY_HARD,
-    Detection,
-    DetectionLog,
-    differs,
-)
+from .detection import POLICY_HARD, Detection, DetectionLog, differs
 from .faults import Fault
 from .goodtrace import GoodTrace
-from .inject import Instrumented, PreparedFault, prepare
-from .report import PatternRecord, RunReport
+from .inject import PreparedFault, prepare
+from .report import RunReport
 from .statelist import StateList
-
-ProgressCallback = Callable[[PatternRecord, list[Detection]], None]
+from .strategy import FaultSimulator, ProgressCallback, run_patterns
 
 
 class _GoodCircuit:
@@ -263,7 +254,7 @@ class _FaultyCircuit:
             self.sim._apply_circuit_changes(self.cid, changes)
 
 
-class ConcurrentFaultSimulator:
+class ConcurrentFaultSimulator(FaultSimulator):
     """Concurrent fault simulation of one network under a fault list.
 
     Parameters
@@ -291,25 +282,17 @@ class ConcurrentFaultSimulator:
         trim: bool = True,
         good_trace: GoodTrace | None = None,
     ):
-        if detection_policy not in POLICIES:
-            raise SimulationError(
-                f"unknown detection policy {detection_policy!r}"
-            )
-        if locality not in LOCALITIES:
-            raise SimulationError(f"unknown locality mode: {locality!r}")
-        instrumented: Instrumented = prepare(net, list(faults))
-        self.network = instrumented.net
-        self.good_forced_transistors = instrumented.good_forced_transistors
-        self.detection_policy = detection_policy
-        self.drop_on_detect = drop_on_detect
-        self.max_rounds = max_rounds
-        self.locality = locality
+        instrumented = prepare(net, list(faults))
+        super().__init__(
+            instrumented, observed, detection_policy=detection_policy,
+            drop_on_detect=drop_on_detect, max_rounds=max_rounds,
+            locality=locality, good_trace=good_trace,
+        )
         #: Redundancy trimming: clean-component seed filtering, whole
         #: round skips and fault-site index pruning.  All three only
         #: remove work whose outcome is provably identical to the good
         #: circuit's; ``trim=False`` is the ablation baseline.
         self.trim = trim
-        self.oscillation_events = 0
         self._kernel = SettleKernel(
             self.network,
             max_rounds=max_rounds,
@@ -335,10 +318,6 @@ class ConcurrentFaultSimulator:
             if self._compiled is not None
             else (compile_network(self.network) if trim else None)
         )
-
-        if not observed:
-            raise SimulationError("at least one observed node is required")
-        self.observed = [self.network.node(name) for name in observed]
 
         # --- good circuit state ---
         net_ = self.network
@@ -479,13 +458,11 @@ class ConcurrentFaultSimulator:
         self._pattern_index = 0
         self._phase_index = 0
 
-        #: A precomputed good run to replay instead of solving good
-        #: rounds (see :mod:`repro.core.goodtrace`): each settle
-        #: re-applies the recorded vicinity solutions through
-        #: :meth:`_apply_good_round`, so trigger scans and record
-        #: maintenance happen exactly as in a native run while the
-        #: good-circuit solving cost is paid zero times here.
-        self._replay = good_trace
+        # A good trace is replayed instead of solving good rounds: each
+        # settle re-applies the recorded vicinity solutions through
+        # _apply_good_round, so trigger scans and record maintenance
+        # happen exactly as in a native run while the good-circuit
+        # solving cost is paid zero times here.
         if good_trace is not None:
             good_trace.validate(self.network, observed, max_rounds)
             if not good_trace.replayable:
@@ -513,44 +490,16 @@ class ConcurrentFaultSimulator:
         clock: str = "process",
         progress: ProgressCallback | None = None,
     ) -> RunReport:
-        """Simulate a pattern sequence; returns the measurement report.
-
-        ``clock`` selects ``process`` (CPU seconds, as the paper
-        measured) or ``perf`` (wall clock) for per-pattern timing.
-
-        ``progress``, if given, is called after every pattern with
-        ``(record, detections)`` -- the freshly appended
-        :class:`~repro.core.report.PatternRecord` and the tuple of
-        :class:`~repro.core.detection.Detection` events that pattern
-        produced.  The service layer streams these to clients; a
-        callback that raises aborts the run at a pattern boundary
-        (cancellation), propagating the exception.
-        """
-        timer = time.process_time if clock == "process" else time.perf_counter
-        report = RunReport(n_faults=len(self.prepared), backend="concurrent")
-        start_total = timer()
-        for pattern in patterns:
-            detected_before = len(self.log.detected_circuits())
-            events_before = len(self.log.detections)
-            start = timer()
-            self.apply_pattern(pattern)
-            elapsed = timer() - start
-            record = PatternRecord(
-                index=self._pattern_index - 1,
-                label=pattern.label,
-                seconds=elapsed,
-                detections=(
-                    len(self.log.detected_circuits()) - detected_before
-                ),
-                live_after=len(self.live),
-            )
-            report.patterns.append(record)
-            if progress is not None:
-                progress(record, tuple(self.log.detections[events_before:]))
-        report.total_seconds = timer() - start_total
-        report.log = self.log
-        report.oscillation_events = self.oscillation_events
-        report.good_settles = self.good_settles
+        """Simulate a pattern sequence; returns the measurement report
+        (``clock`` and ``progress`` as in
+        :func:`~repro.core.strategy.run_patterns`)."""
+        report = run_patterns(
+            self,
+            patterns,
+            RunReport(n_faults=len(self.prepared), backend="concurrent"),
+            clock,
+            progress,
+        )
         if self.trim:
             report.trim = {
                 "round_skips": self._round_skips,
@@ -560,18 +509,10 @@ class ConcurrentFaultSimulator:
 
     def apply_pattern(self, pattern: TestPattern) -> None:
         """Simulate one pattern (all its phases, with observations)."""
-        trace = self._replay
+        trace = self.good_trace
         groups = None
         if trace is not None:
-            if self._pattern_index >= len(trace.phase_rounds):
-                raise SimulationError(
-                    "good trace exhausted: more patterns than recorded"
-                )
-            if trace.pattern_labels[self._pattern_index] != pattern.label:
-                raise SimulationError(
-                    "good trace was recorded for a different pattern "
-                    "sequence"
-                )
+            trace.check_pattern(self._pattern_index, pattern)
             groups = trace.phase_rounds[self._pattern_index]
             if len(groups) != len(pattern.phases):
                 raise SimulationError(
@@ -589,7 +530,7 @@ class ConcurrentFaultSimulator:
 
     def apply_phase(self, settings: Mapping[str, int]) -> None:
         """Apply one input setting and settle every circuit."""
-        if self._replay is not None and self._replay_rounds is None:
+        if self.good_trace is not None and self._replay_rounds is None:
             raise SimulationError(
                 "a trace-fed simulator must be driven through "
                 "apply_pattern/run (apply_phase has no recorded rounds)"
@@ -672,21 +613,14 @@ class ConcurrentFaultSimulator:
         circuit's power-up round sequence is identical across backends
         and a recorded trace replays it exactly.
         """
-        net = self.network
-        settings = {
-            name: state
-            for name, state in ((VDD_NAME, 1), (GND_NAME, 0))
-            if name in net.node_index
-            and net.node_is_input[net.node_index[name]]
-        }
-        if self._replay is not None:
-            self._replay_rounds = self._replay.init_rounds
-        self.apply_phase(settings)
+        if self.good_trace is not None:
+            self._replay_rounds = self.good_trace.init_rounds
+        self.apply_phase(rail_settings(self.network))
 
     def _activate_faults(self) -> None:
         """Create initial divergences and schedule fault-site events."""
         net = self.network
-        if self._replay is not None:
+        if self.good_trace is not None:
             # The good circuit contributes nothing to this settle (only
             # faulty circuits are seeded), so its recorded group is
             # empty by construction.

@@ -43,7 +43,7 @@ from ..switchlevel.kernel import (
     SettleStats,
     VicinitySolution,
 )
-from ..switchlevel.network import GND_NAME, VDD_NAME, Network
+from ..switchlevel.network import Network, rail_settings
 from ..switchlevel.scheduler import Engine
 
 #: One recorded settle: the vicinity solutions of each round, in order.
@@ -113,6 +113,17 @@ class GoodTrace:
 
     def checkpoint_before(self, k: int) -> tuple[list[int], list[int]]:
         return self.checkpoints[k - 1] if k else self.init_checkpoint
+
+    def check_pattern(self, k: int, pattern: TestPattern) -> None:
+        """Refuse to feed pattern ``k`` of a run it did not record."""
+        if k >= len(self.pattern_labels):
+            raise SimulationError(
+                "good trace exhausted: more patterns than recorded"
+            )
+        if self.pattern_labels[k] != pattern.label:
+            raise SimulationError(
+                "good trace was recorded for a different pattern sequence"
+            )
 
     def validate(
         self,
@@ -238,9 +249,8 @@ def record_good_trace(
         max_rounds=max_rounds,
         locality=locality,
     )
-    for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
-        if name in net.node_index and net.node_is_input[net.node(name)]:
-            engine.drive(net.node(name), state)
+    for name, state in rail_settings(net).items():
+        engine.drive(net.node(name), state)
     _stats, clean = _settle_recording(engine, trace.init_rounds)
     if not clean:
         trace.replayable = False

@@ -3,8 +3,8 @@
 A :class:`RunReport` captures everything the paper's figures plot:
 per-pattern CPU seconds (Figures 1/2 falling curves), cumulative
 detections (rising curves), live-circuit counts, totals, and the
-detection log.  Serial runs produce :class:`SerialRunReport` with
-per-fault records instead of per-pattern ones.
+detection log.  Every strategy -- serial included -- publishes this one
+shape.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from .detection import DetectionLog
 
 @dataclass
 class PatternRecord:
-    """Measurements for one pattern of a concurrent (or good-only) run."""
+    """Measurements for one pattern of a fault-simulation (or good-only)
+    run."""
 
     index: int
     label: str
@@ -111,58 +112,25 @@ class RunReport:
         """CPU seconds spent in patterns [start, start+count)."""
         return sum(p.seconds for p in self.patterns[start:start + count])
 
+    def recount(self, drop_on_detect: bool) -> None:
+        """Recompute every record's ``detections`` and ``live_after``
+        from the log; ``drop_on_detect`` must mirror the run's setting
+        (without dropping every circuit stays live)."""
+        cumulative = self.log.cumulative_by_pattern(len(self.patterns))
+        previous = 0
+        for record, total in zip(self.patterns, cumulative):
+            record.detections = total - previous
+            previous = total
+            record.live_after = (
+                self.n_faults - total if drop_on_detect else self.n_faults
+            )
 
-@dataclass
-class FaultRecord:
-    """Measurements for one fault of a serial run."""
 
-    circuit_id: int
-    description: str
-    detected_pattern: int | None
-    detected_phase: int | None
-    seconds: float
-    patterns_simulated: int
-
-
-@dataclass
-class SerialRunReport:
-    """Result of a serial (one-circuit-at-a-time) fault-simulation run.
-
-    ``log`` and ``pattern_seconds`` carry the same measurements the
-    other backends produce, so a serial run can be flattened into a
-    :class:`RunReport` (see :func:`repro.core.serial.serial_run_report`).
-    """
-
-    n_patterns: int
-    reference_seconds: float = 0.0
-    faults: list[FaultRecord] = field(default_factory=list)
-    total_seconds: float = 0.0
-    log: DetectionLog = field(default_factory=DetectionLog)
-    pattern_seconds: list[float] = field(default_factory=list)
-    #: ERASER-style warm-start counters (``patterns_skipped`` /
-    #: ``warm_starts``), filled by the serial simulator.
-    trim: dict = field(default_factory=dict)
-
-    @property
-    def n_faults(self) -> int:
-        return len(self.faults)
-
-    @property
-    def detected(self) -> int:
-        return sum(1 for f in self.faults if f.detected_pattern is not None)
-
-    @property
-    def coverage(self) -> float:
-        if not self.faults:
-            return 0.0
-        return self.detected / len(self.faults)
-
-    def average_seconds_per_pattern(self) -> float:
-        """Total serial CPU time divided by sequence length (Fig. 3's
-        y-axis for the serial curve)."""
-        if self.n_patterns == 0:
-            return 0.0
-        return self.total_seconds / self.n_patterns
-
-    def detection_pattern_map(self) -> dict[int, int | None]:
-        return {f.circuit_id: f.detected_pattern for f in self.faults}
+def solve_cache_stats(hits: int, misses: int) -> dict:
+    """The ``RunReport.solve_cache`` payload for a run's lookups."""
+    lookups = hits + misses
+    return {
+        "hits": hits,
+        "misses": misses,
+        "hit_rate": hits / lookups if lookups else 0.0,
+    }

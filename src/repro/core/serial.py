@@ -17,28 +17,27 @@ Two serial numbers are provided:
   good circuit for 1 pattern" -- undetected faults cost the full
   sequence.
 
-Besides the per-fault :class:`~repro.core.report.SerialRunReport`, a
-run accumulates a :class:`~repro.core.report.DetectionLog` and
-per-pattern seconds, so the ``serial`` entry of the backend registry
-(:mod:`repro.core.backends`) can publish the same
-:class:`~repro.core.report.RunReport` shape as the other strategies.
+A run returns the same :class:`~repro.core.report.RunReport` as the
+other strategies: pattern ``p``'s seconds are what every faulty circuit
+spent simulating it, its detections and live count are recounted from
+the detection log, and ``total_seconds`` covers the faulty circuits plus
+the good reference run (nothing when a precomputed
+:class:`~repro.core.goodtrace.GoodTrace` is consumed instead).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable, Sequence
 
-from ..errors import SimulationError
 from ..patterns.clocking import TestPattern
-from ..switchlevel.kernel import LOCALITIES
-from ..switchlevel.network import TRANS_TABLE, Network
+from ..switchlevel.network import TRANS_TABLE, Network, rail_settings
 from ..switchlevel.scheduler import Engine
-from .detection import POLICIES, POLICY_HARD, Detection, differs
+from .detection import POLICY_HARD, Detection, differs
 from .faults import Fault
 from .goodtrace import GoodTrace, record_good_trace
 from .inject import Instrumented, PreparedFault, prepare
-from .report import FaultRecord, PatternRecord, RunReport, SerialRunReport
+from .report import PatternRecord, RunReport
+from .strategy import FaultSimulator, clock_timer
 
 #: A faulty circuit differing from the good checkpoint on more nodes
 #: than this is treated as fully divergent (no pattern skipping); it
@@ -46,7 +45,7 @@ from .report import FaultRecord, PatternRecord, RunReport, SerialRunReport
 _MAX_DIVERGENCE = 32
 
 
-class SerialFaultSimulator:
+class SerialFaultSimulator(FaultSimulator):
     """One-circuit-at-a-time fault simulation over a pattern sequence.
 
     With ``drop_on_detect`` (the default) a faulty circuit's simulation
@@ -68,36 +67,21 @@ class SerialFaultSimulator:
         trim: bool = True,
         good_trace: GoodTrace | None = None,
     ):
-        if detection_policy not in POLICIES:
-            raise SimulationError(
-                f"unknown detection policy {detection_policy!r}"
-            )
-        if locality not in LOCALITIES:
-            raise SimulationError(f"unknown locality mode: {locality!r}")
-        self.locality = locality
         self._instrumented: Instrumented = prepare(net, list(faults))
-        self.network = self._instrumented.net
-        if not observed:
-            raise SimulationError("at least one observed node is required")
-        self._observed_names = tuple(observed)
-        self.observed = [self.network.node(name) for name in observed]
-        self.detection_policy = detection_policy
-        self.drop_on_detect = drop_on_detect
-        self.max_rounds = max_rounds
+        super().__init__(
+            self._instrumented, observed, detection_policy=detection_policy,
+            drop_on_detect=drop_on_detect, max_rounds=max_rounds,
+            locality=locality, good_trace=good_trace,
+        )
         #: ERASER-style checkpoint trimming (pattern skipping + warm
         #: starts); off, every faulty circuit replays every pattern.
         self.trim = trim
-        #: A precomputed good run (see :mod:`repro.core.goodtrace`);
-        #: when given, :meth:`run` consumes it instead of simulating
-        #: the reference, so the good circuit is settled zero times
-        #: here.  Validated against this simulator's network, observed
-        #: nodes, round budget and patterns at run time.
-        self.good_trace = good_trace
         #: How many good-circuit settles :meth:`run` performed (0 with
-        #: a consumed trace, 1 otherwise); the sharded backend sums
-        #: these to assert the good circuit ran exactly once.
+        #: a consumed :attr:`good_trace`, 1 otherwise); the sharded
+        #: backend sums these to assert the good circuit ran exactly
+        #: once.  A trace is validated against this simulator's
+        #: network, observed nodes, round budget and patterns.
         self.good_settles = 0
-        self.oscillation_events = 0
 
     # ------------------------------------------------------------------
     def run(
@@ -105,69 +89,61 @@ class SerialFaultSimulator:
         patterns: Iterable[TestPattern],
         *,
         clock: str = "process",
-    ) -> SerialRunReport:
-        """Simulate every fault serially; returns the serial report."""
-        timer = time.process_time if clock == "process" else time.perf_counter
+    ) -> RunReport:
+        """Simulate every fault serially; returns the run report."""
+        timer = clock_timer(clock)
         pattern_list = list(patterns)
-        if self.good_trace is not None:
-            self.good_trace.validate(
-                self.network, self._observed_names, self.max_rounds,
-                pattern_list,
-            )
-            reference = self.good_trace
-            self.oscillation_events += reference.oscillation_events
-            reference_seconds = 0.0
-        else:
-            start_reference = timer()
-            reference = self._reference_trace(pattern_list)
-            reference_seconds = timer() - start_reference
-            self.good_settles += 1
-
-        report = SerialRunReport(
-            n_patterns=len(pattern_list),
-            reference_seconds=reference_seconds,
+        report = RunReport(
+            n_faults=len(self._instrumented.prepared),
+            patterns=[
+                PatternRecord(index, pattern.label, 0.0, 0, 0)
+                for index, pattern in enumerate(pattern_list)
+            ],
+            backend="serial",
             trim=(
                 {"patterns_skipped": 0, "warm_starts": 0}
                 if self.trim
-                else {}
+                else None
             ),
         )
-        report.pattern_seconds = [0.0] * len(pattern_list)
+        if self.good_trace is not None:
+            self.good_trace.validate(
+                self.network, self.observed_names, self.max_rounds,
+                pattern_list,
+            )
+            reference = self.good_trace
+        else:
+            # The good circuit once, recording observed states plus the
+            # per-pattern checkpoints and touched regions trimming needs.
+            start_reference = timer()
+            reference = record_good_trace(
+                self.network,
+                self.observed_names,
+                pattern_list,
+                forced_transistors=self.good_forced_transistors,
+                max_rounds=self.max_rounds,
+                locality=self.locality,
+            )
+            report.total_seconds = timer() - start_reference
+            self.good_settles += 1
+        self.oscillation_events += reference.oscillation_events
+
         reach = self._reach(pattern_list, reference) if self.trim else []
         start_total = timer()
         for pf in self._instrumented.prepared:
-            start = timer()
-            detected = self._simulate_fault(
+            self._simulate_fault(
                 pf, pattern_list, reference, reach, report, timer
             )
-            elapsed = timer() - start
-            if detected is None:
-                pattern_index, phase_index = None, None
-                simulated = len(pattern_list)
-            else:
-                pattern_index, phase_index = detected
-                simulated = (
-                    pattern_index + 1
-                    if self.drop_on_detect
-                    else len(pattern_list)
-                )
-            report.faults.append(
-                FaultRecord(
-                    circuit_id=pf.circuit_id,
-                    description=pf.fault.describe(),
-                    detected_pattern=pattern_index,
-                    detected_phase=phase_index,
-                    seconds=elapsed,
-                    patterns_simulated=simulated,
-                )
-            )
-        report.total_seconds = timer() - start_total
+        report.total_seconds += timer() - start_total
+        report.recount(self.drop_on_detect)
+        report.oscillation_events = self.oscillation_events
+        report.good_settles = self.good_settles
         return report
 
     # ------------------------------------------------------------------
     def _make_engine(self, pf: PreparedFault | None) -> Engine:
         forced_nodes = pf.forced_nodes if pf is not None else {}
-        forced_transistors = dict(self._instrumented.good_forced_transistors)
+        forced_transistors = dict(self.good_forced_transistors)
         if pf is not None:
             forced_transistors.update(pf.forced_transistors)
         engine = Engine(
@@ -178,9 +154,8 @@ class SerialFaultSimulator:
             locality=self.locality,
         )
         net = self.network
-        for name, state in (("vdd", 1), ("gnd", 0)):
-            if name in net.node_index and net.node_is_input[net.node(name)]:
-                engine.drive(net.node(name), state)
+        for name, state in rail_settings(net).items():
+            engine.drive(net.node(name), state)
         if pf is not None:
             for seed in pf.seeds:
                 engine.perturb(seed)
@@ -197,21 +172,6 @@ class SerialFaultSimulator:
         for name, state in settings.items():
             engine.drive(net.node(name), state)
         engine.settle()
-
-    def _reference_trace(self, patterns: list[TestPattern]) -> GoodTrace:
-        """Run the good circuit once, recording observed states plus the
-        per-pattern checkpoints and touched regions trimming needs
-        (the shared recorder in :mod:`repro.core.goodtrace`)."""
-        trace = record_good_trace(
-            self.network,
-            self._observed_names,
-            patterns,
-            forced_transistors=self._instrumented.good_forced_transistors,
-            max_rounds=self.max_rounds,
-            locality=self.locality,
-        )
-        self.oscillation_events += trace.oscillation_events
-        return trace
 
     def _divergence(
         self, engine: Engine, checkpoint: tuple[list[int], list[int]]
@@ -357,11 +317,11 @@ class SerialFaultSimulator:
         patterns: list[TestPattern],
         reference: GoodTrace,
         reach: list[set[int] | None],
-        report: SerialRunReport,
+        report: RunReport,
         timer: Callable[[], float],
-    ) -> tuple[int, int] | None:
-        """Run one faulty circuit, logging detections; returns (pattern,
-        phase) of the first detection or None.
+    ) -> None:
+        """Run one faulty circuit, logging its detections into
+        ``report`` and adding its per-pattern seconds there.
 
         ERASER-style trimming: whenever the faulty state has converged
         back onto the good checkpoint, patterns whose touched region
@@ -378,8 +338,8 @@ class SerialFaultSimulator:
             (t, state, (net.t_source[t], net.t_drain[t]))
             for t, state in pf.forced_transistors.items()
         ]
-        trim = report.trim
-        first: tuple[int, int] | None = None
+        trim = report.trim or {}
+        records = report.patterns
         div = (
             self._divergence(engine, reference.init_checkpoint)
             if self.trim
@@ -434,13 +394,11 @@ class SerialFaultSimulator:
                                 faulty_state=faulty_state,
                             )
                         )
-                        if first is None:
-                            first = (pattern_index, phase_index)
                         if self.drop_on_detect:
-                            report.pattern_seconds[pattern_index] += (
+                            records[pattern_index].seconds += (
                                 timer() - pattern_start
                             )
-                            return first
+                            return
                 div = (
                     self._divergence(
                         engine, reference.checkpoints[pattern_index]
@@ -449,60 +407,11 @@ class SerialFaultSimulator:
                     else None
                 )
                 sites = self._site_set(div) if div is not None else None
-                report.pattern_seconds[pattern_index] += (
+                records[pattern_index].seconds += (
                     timer() - pattern_start
                 )
-            return first
         finally:
             self.oscillation_events += engine.oscillation_events
-
-
-def serial_run_report(
-    serial_report: SerialRunReport,
-    patterns: Sequence[TestPattern],
-    *,
-    drop_on_detect: bool = True,
-    include_reference: bool = True,
-) -> RunReport:
-    """Flatten a serial run into the cross-backend ``RunReport`` shape.
-
-    Per-pattern seconds are summed across faults (pattern ``p``'s cost
-    is whatever every faulty circuit spent simulating it); the good
-    reference trace is included in ``total_seconds`` by default since
-    the other backends simulate their reference inline.
-    ``drop_on_detect`` must mirror the run's setting: without dropping
-    every circuit stays live (as the other backends report it).
-    """
-    report = RunReport(
-        n_faults=serial_report.n_faults,
-        log=serial_report.log,
-        backend="serial",
-        trim=dict(serial_report.trim) or None,
-    )
-    n_patterns = len(patterns)
-    cumulative = serial_report.log.cumulative_by_pattern(n_patterns)
-    seconds = serial_report.pattern_seconds or [0.0] * n_patterns
-    for index, pattern in enumerate(patterns):
-        detected_here = cumulative[index] - (
-            cumulative[index - 1] if index else 0
-        )
-        report.patterns.append(
-            PatternRecord(
-                index=index,
-                label=pattern.label,
-                seconds=seconds[index],
-                detections=detected_here,
-                live_after=(
-                    serial_report.n_faults - cumulative[index]
-                    if drop_on_detect
-                    else serial_report.n_faults
-                ),
-            )
-        )
-    report.total_seconds = serial_report.total_seconds
-    if include_reference:
-        report.total_seconds += serial_report.reference_seconds
-    return report
 
 
 def estimate_serial_seconds(

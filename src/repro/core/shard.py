@@ -118,7 +118,7 @@ from .backends import (
 from .faults import Fault, NodeStuckFault, TransistorStuckFault
 from .goodtrace import GoodTrace, record_good_trace
 from .inject import needs_rewrite
-from .report import PatternRecord, RunReport
+from .report import PatternRecord, RunReport, solve_cache_stats
 
 __all__ = [
     "ShardedBackend",
@@ -387,14 +387,9 @@ def merge_shard_reports(
         r.report.solve_cache for r in results if r.report.solve_cache
     ]
     if caches:
-        hits = sum(c["hits"] for c in caches)
-        misses = sum(c["misses"] for c in caches)
-        lookups = hits + misses
-        merged.solve_cache = {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / lookups if lookups else 0.0,
-        }
+        merged.solve_cache = solve_cache_stats(
+            sum(c["hits"] for c in caches), sum(c["misses"] for c in caches)
+        )
     return merged
 
 
@@ -512,13 +507,9 @@ class ShardedBackend(FaultSimBackend):
         compiled = None
         if run_faults and not rewrite and net.finalized:
             compiled = compile_network(net)
-        class_sizes = [
-            len(plan._members[index + 1]) if plan._members else 1
-            for index in range(len(run_faults))
-        ]
         costs = [
-            _fault_cost(net, compiled, fault, members)
-            for fault, members in zip(run_faults, class_sizes)
+            _fault_cost(net, compiled, fault, len(plan.members[rep]))
+            for rep, fault in enumerate(run_faults, 1)
         ]
         blocks = cost_blocks(costs, self.jobs)
 

@@ -25,6 +25,8 @@ from ..core.backends import SimPolicy, run_backend
 from ..core.concurrent import ConcurrentFaultSimulator
 from ..core.detection import POLICY_ANY
 from ..core.faults import Fault, ram_fault_universe, sample_faults
+from ..core.goodtrace import record_good_trace
+from ..core.inject import prepare
 from ..core.report import RunReport
 from ..core.serial import SerialFaultSimulator, estimate_serial_seconds
 from ..errors import ExperimentError
@@ -583,9 +585,19 @@ def run_fig3(
         estimate = estimate_serial_seconds(report, good_avg)
         real_avg = None
         if count <= real_serial_limit:
+            # Faulty circuits only: the good reference is recorded
+            # beforehand, so the serial run consumes it at no cost.
+            instrumented = prepare(ram.net, faults)
+            trace = record_good_trace(
+                instrumented.net,
+                [ram.dout],
+                sequence.patterns,
+                forced_transistors=instrumented.good_forced_transistors,
+                locality="dynamic",
+            )
             serial = SerialFaultSimulator(
                 ram.net, faults, observed=[ram.dout],
-                detection_policy=detection_policy,
+                detection_policy=detection_policy, good_trace=trace,
             )
             serial_report = serial.run(sequence.patterns)
             real_avg = serial_report.average_seconds_per_pattern()

@@ -396,3 +396,14 @@ class Network:
             f"<Network nodes={self.n_nodes} transistors={self.n_transistors}"
             f"{' finalized' if self._finalized else ''}>"
         )
+
+
+def rail_settings(net: Network) -> dict[str, int]:
+    """The power-up input setting: ``vdd`` -> 1 and ``gnd`` -> 0, for
+    each rail the network declares as an input.  Every simulator drives
+    it before its first settle."""
+    return {
+        name: state
+        for name, state in ((VDD_NAME, 1), (GND_NAME, 0))
+        if name in net.node_index and net.node_is_input[net.node_index[name]]
+    }

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 from ..errors import SimulationError
 from .logic import STATE_CHARS, state_from_char
-from .network import GND_NAME, VDD_NAME, Network
+from .network import Network, rail_settings
 from .scheduler import DEFAULT_MAX_ROUNDS, Engine, SettleStats
 
 
@@ -59,12 +59,7 @@ class Simulator:
         )
         self._observed_oscillation = False
         if drive_rails:
-            for name, state in ((VDD_NAME, 1), (GND_NAME, 0)):
-                if name in net.node_index:
-                    node = net.node_index[name]
-                    if net.node_is_input[node]:
-                        self.engine.drive(node, state)
-            self.settle()
+            self.apply(rail_settings(net))
 
     # --- driving -----------------------------------------------------------
     def set_input(self, name: str, state: int | str) -> None:

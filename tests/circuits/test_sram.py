@@ -146,8 +146,8 @@ class TestFaultSimulation:
         report_c = concurrent.run(patterns)
         serial = SerialFaultSimulator(sram.net, faults, observed=[sram.dout])
         report_s = serial.run(patterns)
-        for record in report_s.faults:
-            assert (
-                report_c.log.detection_pattern(record.circuit_id)
-                == record.detected_pattern
-            )
+        assert report_s.n_faults == len(faults)
+        for circuit_id in range(1, len(faults) + 1):
+            assert report_c.log.detection_pattern(
+                circuit_id
+            ) == report_s.log.detection_pattern(circuit_id)

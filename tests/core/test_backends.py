@@ -25,9 +25,11 @@ from repro.core.backends import (
     FaultSimBackend,
     SimPolicy,
     available_backends,
+    backend_options_summary,
     get_backend,
     register_backend,
     run_backend,
+    supports_progress,
 )
 from repro.core.batch import BatchFaultSimulator
 from repro.core.serial import SerialFaultSimulator
@@ -119,6 +121,53 @@ class TestRegistry:
             assert report.backend == name or report.backend.startswith(
                 f"{name}("
             )
+
+
+#: What the shared backend adapter must leave unchanged: the registry's
+#: option summaries (built from each backend's explicit ``__init__``)
+#: and which backends stream per-pattern progress.
+OPTION_SUMMARIES = {
+    "batch": "accepts: locality='dynamic', collapse=True, "
+    "static_prune=True, good_trace=None",
+    "concurrent": "accepts: locality='dynamic', collapse=True, trim=True, "
+    "static_prune=True, good_trace=None",
+    "serial": "accepts: locality='dynamic', collapse=True, trim=True, "
+    "static_prune=True, good_trace=None",
+    "sharded": "accepts: jobs=2, inner_backend='concurrent', pool=None, "
+    "**inner_options",
+}
+STREAMING = {
+    "batch": True, "concurrent": True, "serial": False, "sharded": False
+}
+
+
+class TestAdapterContract:
+    def test_option_summaries(self):
+        assert {
+            name: backend_options_summary(name)
+            for name in available_backends()
+        } == OPTION_SUMMARIES
+
+    def test_supports_progress(self):
+        assert {
+            name: supports_progress(get_backend(name))
+            for name in available_backends()
+        } == STREAMING
+
+    @pytest.mark.parametrize("name", sorted(OPTION_SUMMARIES))
+    def test_unknown_option_is_typed_error(self, name):
+        with pytest.raises(SimulationError) as excinfo:
+            get_backend(name, bogus=1)
+        # sharded forwards unknown options to its inner backend, which
+        # rejects them under the sharded prefix.
+        inner = "concurrent" if name == "sharded" else name
+        expected = (
+            f"invalid options for backend {inner!r} (given: bogus); "
+            f"backend {inner!r} {OPTION_SUMMARIES[inner]}"
+        )
+        if name == "sharded":
+            expected = "sharded: " + expected
+        assert str(excinfo.value) == expected
 
 
 @pytest.fixture(scope="module")

@@ -114,23 +114,24 @@ def compare_runs(net, faults, observed, patterns):
     serial = SerialFaultSimulator(net, faults, observed, max_rounds=60)
     report_s = serial.run(patterns)
 
-    serial_map = {
-        record.circuit_id: (record.detected_pattern, record.detected_phase)
-        for record in report_s.faults
-    }
+    assert report_s.n_faults == len(faults)
     for cid in range(1, len(faults) + 1):
-        detection = report_c.log.first_detection(cid)
-        concurrent_result = (
-            (detection.pattern_index, detection.phase_index)
-            if detection
-            else (None, None)
-        )
-        assert concurrent_result == serial_map[cid], (
+        concurrent_result = _first(report_c, cid)
+        serial_result = _first(report_s, cid)
+        assert concurrent_result == serial_result, (
             f"circuit {cid} ({faults[cid - 1].describe()}): "
-            f"concurrent={concurrent_result} serial={serial_map[cid]}\n"
+            f"concurrent={concurrent_result} serial={serial_result}\n"
             + _dump_case(net, faults, observed, patterns)
         )
     return concurrent, report_c
+
+
+def _first(report, cid):
+    """(pattern, phase) of a circuit's first detection, or (None, None)."""
+    detection = report.log.first_detection(cid)
+    if detection is None:
+        return (None, None)
+    return (detection.pattern_index, detection.phase_index)
 
 
 def _dump_case(net, faults, observed, patterns):

@@ -26,6 +26,12 @@ def toggle_patterns(count=3):
     ]
 
 
+def simulated_patterns(report):
+    """Indexes of the patterns the run spent time on (``perf`` clock:
+    a simulated pattern always advances it)."""
+    return [record.index for record in report.patterns if record.seconds]
+
+
 class TestSerialRuns:
     def test_detects_output_stuck(self):
         net, out = inverter_chain()
@@ -39,13 +45,17 @@ class TestSerialRuns:
     def test_detection_stops_early(self):
         net, out = inverter_chain()
         faults = [NodeStuckFault(out, 0)]
-        report = SerialFaultSimulator(net, faults, [out]).run(
-            toggle_patterns(10)
+        report = SerialFaultSimulator(net, faults, [out], trim=False).run(
+            toggle_patterns(10), clock="perf"
         )
-        record = report.faults[0]
-        assert record.detected_pattern is not None
+        detected = report.log.detection_pattern(1)
+        assert detected is not None
         # Only the patterns up to detection were simulated.
-        assert record.patterns_simulated == record.detected_pattern + 1
+        assert simulated_patterns(report) == list(range(detected + 1))
+        assert [record.live_after for record in report.patterns] == [
+            0 if index >= detected else 1 for index in range(10)
+        ]
+        assert report.patterns[detected].detections == 1
 
     def test_undetected_fault_runs_full_sequence(self):
         net, out = inverter_chain()
@@ -53,10 +63,12 @@ class TestSerialRuns:
         # the constant input never shows: drive a constantly.
         faults = [NodeStuckFault("n0", 1)]
         patterns = [TestPattern("c", (Phase({"a": 0}),))] * 4
-        report = SerialFaultSimulator(net, faults, [out]).run(patterns)
-        record = report.faults[0]
-        assert record.detected_pattern is None
-        assert record.patterns_simulated == 4
+        report = SerialFaultSimulator(net, faults, [out], trim=False).run(
+            patterns, clock="perf"
+        )
+        assert report.log.detection_pattern(1) is None
+        assert simulated_patterns(report) == [0, 1, 2, 3]
+        assert [record.live_after for record in report.patterns] == [1] * 4
 
     def test_transistor_fault(self):
         net, out = inverter_chain(1)
@@ -77,12 +89,13 @@ class TestSerialRuns:
             SerialFaultSimulator(net, [], [out], detection_policy="maybe")
 
     def test_reference_seconds_recorded(self):
+        # The good reference run is timed into the total, on top of the
+        # faulty circuits' per-pattern seconds.
         net, out = inverter_chain()
-        report = SerialFaultSimulator(
-            net, [NodeStuckFault(out, 0)], [out]
-        ).run(toggle_patterns())
-        assert report.reference_seconds >= 0
-        assert report.total_seconds >= 0
+        simulator = SerialFaultSimulator(net, [NodeStuckFault(out, 0)], [out])
+        report = simulator.run(toggle_patterns(), clock="perf")
+        assert simulator.good_settles == report.good_settles == 1
+        assert report.total_seconds > report.section_seconds(0, 3) > 0
 
     def test_coverage_property(self):
         net, out = inverter_chain()
